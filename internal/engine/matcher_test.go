@@ -155,7 +155,8 @@ func TestExplainReportsMatcher(t *testing.T) {
 // TestMatcherPickNeverFarFromBest is the matcher sibling of
 // TestPlannerPickNeverFarFromBest: on a bench-style fixture the
 // planner-picked matcher must not run slower than 1.5x the best
-// explicit matcher (min-of-3 wall times to damp scheduler noise).
+// explicit matcher (interleaved min-of-5 wall times to damp scheduler
+// noise, the pick read from the same measurement).
 func TestMatcherPickNeverFarFromBest(t *testing.T) {
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
 	if err != nil {
@@ -178,29 +179,27 @@ func TestMatcherPickNeverFarFromBest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	minWall := func(kind match.MatcherKind) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
+	// Interleaved rounds (min of 5 per matcher): a burst of load from
+	// elsewhere hits both matchers alike, not one matcher's whole sample.
+	walls := map[match.MatcherKind]time.Duration{}
+	for round := 0; round < 5; round++ {
+		for _, kind := range []match.MatcherKind{match.MatcherBinary, match.MatcherTwig} {
 			start := time.Now()
 			if _, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyPhysical, Matcher: kind}); err != nil {
 				t.Fatalf("Execute(matcher=%v): %v", kind, err)
 			}
-			if d := time.Since(start); d < best {
-				best = d
+			if d := time.Since(start); round == 0 || d < walls[kind] {
+				walls[kind] = d
 			}
 		}
-		return best
 	}
-
-	walls := map[match.MatcherKind]time.Duration{}
-	bestWall := time.Duration(1<<63 - 1)
-	for _, kind := range []match.MatcherKind{match.MatcherBinary, match.MatcherTwig} {
-		walls[kind] = minWall(kind)
-		if walls[kind] < bestWall {
-			bestWall = walls[kind]
-		}
+	bestWall := min(walls[match.MatcherBinary], walls[match.MatcherTwig])
+	// The pick is judged by its wall from the same measurement; a
+	// separate re-timing of it would compare two noisy samples.
+	picked, ok := walls[auto.Matcher]
+	if !ok {
+		t.Fatalf("planner picked matcher %v, which is not an explicit matcher", auto.Matcher)
 	}
-	picked := minWall(auto.Matcher)
 	if float64(picked) > 1.5*float64(bestWall) {
 		t.Errorf("planner picked matcher %v at %v; best runs in %v (> 1.5x; walls %v)",
 			auto.Matcher, picked, bestWall, walls)

@@ -283,8 +283,8 @@ func TestStatsCacheRevalidatesAfterIngest(t *testing.T) {
 
 // TestPlannerPickNeverFarFromBest is the planner-correctness gate: on
 // a bench-style fixture the planner's pick must not be slower than
-// 1.5x the best Spec-level strategy (min-of-3 wall times to damp
-// scheduler noise).
+// 1.5x the best Spec-level strategy (interleaved min-of-5 wall times to
+// damp scheduler noise, the pick read from the same measurement).
 func TestPlannerPickNeverFarFromBest(t *testing.T) {
 	db, err := storage.CreateTemp(storage.Options{PoolPages: 1024})
 	if err != nil {
@@ -307,32 +307,33 @@ func TestPlannerPickNeverFarFromBest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	minWall := func(strat exec.Strategy) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
+	// The candidates the cost model distinguishes, timed in interleaved
+	// rounds (min of 5 per candidate): a burst of load from elsewhere
+	// hits every candidate alike, not one candidate's whole sample.
+	walls := map[exec.Strategy]time.Duration{}
+	for round := 0; round < 5; round++ {
+		for _, strat := range []exec.Strategy{
+			exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
+		} {
 			start := time.Now()
 			if _, err := pq.Execute(ctx, ExecOptions{Strategy: strat}); err != nil {
 				t.Fatalf("Execute(%v): %v", strat, err)
 			}
-			if d := time.Since(start); d < best {
-				best = d
+			if d := time.Since(start); round == 0 || d < walls[strat] {
+				walls[strat] = d
 			}
 		}
-		return best
 	}
-
-	// The candidates the cost model distinguishes.
-	walls := map[exec.Strategy]time.Duration{}
 	bestWall := time.Duration(1<<63 - 1)
-	for _, strat := range []exec.Strategy{
-		exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
-	} {
-		walls[strat] = minWall(strat)
-		if walls[strat] < bestWall {
-			bestWall = walls[strat]
-		}
+	for _, w := range walls {
+		bestWall = min(bestWall, w)
 	}
-	picked := minWall(auto.Strategy)
+	// The pick is judged by its wall from the same measurement; a
+	// separate re-timing of it would compare two noisy samples.
+	picked, ok := walls[auto.Strategy]
+	if !ok {
+		t.Fatalf("planner picked %v, which is not a costed strategy", auto.Strategy)
+	}
 	if float64(picked) > 1.5*float64(bestWall) {
 		t.Errorf("planner picked %v at %v; best strategy runs in %v (> 1.5x; walls %v)",
 			auto.Strategy, picked, bestWall, walls)

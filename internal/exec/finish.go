@@ -13,11 +13,12 @@ import (
 // titles output burdens both plans equally, while the count output is
 // negligible).
 //
-// Because results (and the naive plan's intermediates) spill to a
-// shared temporary page region that is truncated afterwards, executors
-// must not run concurrently against one database; the read-only storage
-// paths (postings, record fetches, subtree scans) remain safe for
-// concurrent use.
+// Executors may run concurrently against one database. Each spill of
+// results (or of the naive plan's intermediates) takes its own pages
+// from the store's shared allocator and frees them on every exit path,
+// so concurrent queries never share or truncate each other's scratch
+// pages; the spill pages compete with the base data for buffer pool
+// frames only.
 func finishResult(db storage.Reader, res *Result, sp *obs.Span) error {
 	finSp := sp.Child("spill: result trees")
 	defer finSp.End()

@@ -94,7 +94,7 @@ func stepJoin(ctx context.Context, cur []pair, cands []storage.Posting, axis sjo
 	for i, c := range cands {
 		dIvs[i] = c.Interval
 	}
-	joined, err := sjoin.StackTreeParM(ctx, aIvs, dIvs, axis, workers, jm)
+	joined, err := sjoin.StackTreePar(ctx, aIvs, dIvs, axis, workers, jm)
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,9 @@ import (
 // generated and randomized databases.
 
 // multiDocDB loads several documents — the per-document partitioning
-// of the structural joins and MatchDBPar only kicks in with more than
-// one — built from the paper's sample plus generated DBLP slices.
+// of the structural joins and of the binary matcher only kicks in with
+// more than one — built from the paper's sample plus generated DBLP
+// slices.
 func multiDocDB(t *testing.T, seeds ...int64) *storage.DB {
 	t.Helper()
 	db, err := storage.CreateTemp(storage.Options{PageSize: 2048, PoolPages: 512})

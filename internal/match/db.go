@@ -19,7 +19,7 @@ import (
 // populated later, and only as needed (Sec. 5.3).
 type DBBinding map[string]storage.Posting
 
-// DBStats reports what a MatchDB call did, for experiment reporting.
+// DBStats reports what a MatchKindObs call did, for experiment reporting.
 type DBStats struct {
 	// Candidates is the total number of index postings considered
 	// across pattern nodes.
@@ -66,39 +66,19 @@ func (f recFields) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// RecordFields exposes a stored record as predicate-testable fields.
-func RecordFields(r *storage.NodeRecord) pattern.Fields { return recFields{r} }
-
-// MatchDB computes the pattern's witnesses against every document in
-// the database, using the strategy of Sec. 5.2: independently locate
-// candidate postings for each pattern node from the indices, then
-// resolve structural relationships one pattern edge at a time with
-// single-pass containment joins. Witness order is identical to Match's.
-// It parallelizes across every core; use MatchDBPar to bound (or
-// disable) the parallelism.
-func MatchDB(db storage.Reader, pt *pattern.Tree) ([]DBBinding, *DBStats, error) {
-	return MatchDBPar(db, pt, 0)
-}
-
-// MatchDBPar is MatchDB with an explicit parallelism bound (<= 0 means
-// GOMAXPROCS). Candidate postings come from sequential index scans;
-// the structural-join phase is then partitioned by document — edges
-// never cross documents — and the per-document witness sets are merged
-// in document order, so the output is identical to the sequential
-// path's for any parallelism. MatchDBPar only reads the database and is
-// safe to call concurrently with other readers.
-func MatchDBPar(db storage.Reader, pt *pattern.Tree, parallelism int) ([]DBBinding, *DBStats, error) {
-	return MatchDBObs(nil, db, pt, parallelism, nil)
-}
-
-// MatchDBObs is MatchDBPar with a cancellation context and an
-// observability span. A non-nil ctx cancels the match between
-// candidate scans and inside the per-document join pool; a cancelled
-// match returns ctx.Err() and no bindings. When sp is non-nil,
-// candidate scanning and the structural-join phase become child spans
-// carrying candidate, fetch, join and witness counts. A nil span costs
-// nothing and the witness output is identical either way.
-func MatchDBObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
+// matchBinary is MatchKindObs's binary branch, the strategy of
+// Sec. 5.2: independently locate candidate postings for each pattern
+// node from the indices, then resolve structural relationships one
+// pattern edge at a time with single-pass containment joins. Candidate
+// postings come from sequential index scans; the structural-join phase
+// is then partitioned by document — edges never cross documents — and
+// run on up to parallelism workers, and the per-document witness sets
+// are merged in document order, so the output is identical for any
+// parallelism. ctx is checked between candidate scans and inside the
+// per-document join pool; sp gains "scan: candidates" and "sjoin:
+// pattern edges" children carrying candidate, fetch, join and witness
+// counts.
+func matchBinary(ctx context.Context, db storage.Reader, pt *pattern.Tree, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
 	// One pinned epoch for candidate scans and predicate fetches alike.
 	db, release := storage.Pin(db)
 	defer release()
@@ -279,7 +259,7 @@ func matchRows(order []*pattern.Node, colOf map[string]int, jorder []int, cands 
 		if pn.Axis == pattern.Child {
 			axis = sjoin.ParentChild
 		}
-		pairs := sjoin.StackTreeM(pIvs, cIvs, axis, jm)
+		pairs := sjoin.StackTree(pIvs, cIvs, axis, jm)
 
 		// children[parentID] lists matching candidate indices in
 		// document order.
@@ -458,7 +438,7 @@ func distinctSorted(rows [][]storage.Posting, col int) []storage.Posting {
 }
 
 // SortDBBindings orders db witnesses lexicographically by bound node IDs
-// in pattern pre-order (the order MatchDB already returns).
+// in pattern pre-order (the order MatchKindObs already returns).
 func SortDBBindings(pt *pattern.Tree, bs []DBBinding) {
 	labels := pt.Labels()
 	sort.SliceStable(bs, func(i, j int) bool {

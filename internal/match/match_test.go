@@ -118,7 +118,7 @@ func TestMatchDBCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ws, _, err := MatchDBObs(ctx, db, paperdata.Figure1Pattern(), 1, nil)
+	ws, _, err := MatchKindObs(ctx, db, paperdata.Figure1Pattern(), MatcherBinary, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -134,7 +134,7 @@ func TestMatchDBFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := paperdata.Figure1Pattern()
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMatchDBValueIndexPath(t *testing.T) {
 	pr.AddChild(pattern.Child, pattern.NewNode("$2",
 		pattern.TagEq{Tag: "author"}, pattern.ContentEq{Value: "Jack"}))
 	pt := pattern.MustTree(pr)
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMatchDBFullScanFallback(t *testing.T) {
 	// A pattern node with no tag constraint: any node with content
 	// "Jack". Forces the full-scan access path.
 	pt := pattern.MustTree(pattern.NewNode("$1", pattern.ContentEq{Value: "Jack"}))
-	ws, _, err := MatchDB(db, pt)
+	ws, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestMatchDBNoMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := pattern.MustTree(pattern.NewNode("$1", pattern.TagEq{Tag: "nonexistent"}))
-	ws, stats, err := MatchDB(db, pt)
+	ws, stats, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMatchDBMultipleDocuments(t *testing.T) {
 	}
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
 	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
-	ws, _, err := MatchDB(db, pattern.MustTree(pr))
+	ws, _, err := MatchKindObs(nil, db, pattern.MustTree(pr), MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestMatchersAgreeProperty(t *testing.T) {
 		}
 		pt := randomPattern(rng)
 		mem := Match(pt, roots)
-		dbw, _, err := MatchDB(db, pt)
+		dbw, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 		if err != nil {
 			return false
 		}
@@ -338,7 +338,7 @@ func TestSortDBBindings(t *testing.T) {
 	}
 	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "author"})
 	pt := pattern.MustTree(pr)
-	ws, _, err := MatchDB(db, pt)
+	ws, _, err := MatchKindObs(nil, db, pt, MatcherBinary, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +355,9 @@ func TestSortDBBindings(t *testing.T) {
 	}
 }
 
-// TestMatchDBParMatchesSequentialProperty: the per-document parallel
-// matcher must return exactly the sequential witness list — same
-// bindings, same order, same stats — for any parallelism.
+// TestMatchDBParMatchesSequentialProperty: the binary cascade's
+// per-document parallel join must return exactly the sequential witness
+// list — same bindings, same order, same stats — for any parallelism.
 func TestMatchDBParMatchesSequentialProperty(t *testing.T) {
 	prop := func(seed int64, workers uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -373,11 +373,11 @@ func TestMatchDBParMatchesSequentialProperty(t *testing.T) {
 			}
 		}
 		pt := randomPattern(rng)
-		seq, seqStats, err := MatchDBPar(db, pt, 1)
+		seq, seqStats, err := MatchKindObs(nil, db, pt, MatcherBinary, 1, nil)
 		if err != nil {
 			return false
 		}
-		par, parStats, err := MatchDBPar(db, pt, int(workers%8)+2)
+		par, parStats, err := MatchKindObs(nil, db, pt, MatcherBinary, int(workers%8)+2, nil)
 		if err != nil {
 			return false
 		}

@@ -9,7 +9,6 @@ import (
 	"timber/internal/obs"
 	"timber/internal/pattern"
 	"timber/internal/storage"
-	"timber/internal/xmltree"
 )
 
 // MatcherKind selects the algorithm that embeds a pattern tree into the
@@ -68,38 +67,6 @@ func MatcherNames() []string {
 	return out
 }
 
-// Matcher is the unified streaming face of pattern matching: open a
-// matcher, pull bindings until ok=false, check Err, Close. Every
-// implementation yields the same binding sequence — per-document
-// witnesses sorted lexicographically by pre-order node identifiers,
-// documents ascending — so matchers are interchangeable without
-// affecting results, only access patterns.
-type Matcher interface {
-	// Next returns the next witness binding, or ok=false at the end of
-	// the stream (or on error — check Err).
-	Next() (DBBinding, bool)
-	// Stats returns the matcher's access counters; Witnesses counts the
-	// bindings returned so far.
-	Stats() *DBStats
-	// Err reports the first error the matcher hit, if any.
-	Err() error
-	// Close releases the matcher's resources (snapshot pins, open
-	// cursors). Idempotent.
-	Close() error
-}
-
-// Open returns a streaming matcher of the requested kind over the
-// database. MatcherAuto (and a MatcherTwig request on a pattern the
-// holistic matcher cannot drive, i.e. one with an untagged node)
-// resolves to the binary cascade; Stats().Matcher records what actually
-// ran.
-func Open(db storage.Reader, pt *pattern.Tree, kind MatcherKind) (Matcher, error) {
-	if kind != MatcherBinary && TwigApplicable(pt) {
-		return openTwig(db, pt)
-	}
-	return OpenCursor(db, pt)
-}
-
 // TwigApplicable reports whether the holistic matcher can drive the
 // pattern: every node must carry a tag constraint, because the twig
 // streams are tag-index cursors (an untagged node would need a full
@@ -113,93 +80,27 @@ func TwigApplicable(pt *pattern.Tree) bool {
 	return true
 }
 
-// MatchKindObs is MatchDBObs with an explicit matcher kind: it computes
-// the full witness slice with the chosen algorithm, under the same span
-// and cancellation contract. The binding output is byte-identical
-// across kinds and parallelisms; only the access counters differ.
-// parallelism applies to the binary cascade's per-document join phase —
-// the holistic matcher is single-pass by construction.
+// MatchKindObs computes the pattern's witnesses against every document
+// in the database with the chosen algorithm. MatcherAuto, and a
+// MatcherTwig request on a pattern the holistic matcher cannot drive
+// (one with an untagged node), resolve as documented on the kinds;
+// DBStats.Matcher records what actually ran. The binding output is
+// byte-identical across kinds and parallelisms — per-document witnesses
+// sorted lexicographically by pre-order node identifiers, documents
+// ascending, exactly Match's order — and only the access counters
+// differ. parallelism (<= 0 means GOMAXPROCS) applies to the binary
+// cascade's per-document join phase; the holistic matcher is
+// single-pass by construction.
+//
+// A non-nil ctx cancels the match; a cancelled match returns ctx.Err()
+// and no bindings. When sp is non-nil the matcher's phases become child
+// spans carrying their access counts; a nil span costs nothing and the
+// output is identical either way. MatchKindObs only reads the database
+// (one pinned epoch) and is safe to call concurrently with other
+// readers.
 func MatchKindObs(ctx context.Context, db storage.Reader, pt *pattern.Tree, kind MatcherKind, parallelism int, sp *obs.Span) ([]DBBinding, *DBStats, error) {
 	if kind == MatcherBinary || !TwigApplicable(pt) {
-		return MatchDBObs(ctx, db, pt, parallelism, sp)
+		return matchBinary(ctx, db, pt, parallelism, sp)
 	}
-	if kind == MatcherAuto {
-		kind = MatcherTwig
-	}
-	m, err := openTwig(db, pt)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer m.Close()
-	twigSp := sp.Child("twig: pattern match")
-	var out []DBBinding
-	for {
-		if ctx != nil && len(out)%1024 == 0 {
-			select {
-			case <-ctx.Done():
-				twigSp.End()
-				return nil, nil, ctx.Err()
-			default:
-			}
-		}
-		b, ok := m.Next()
-		if !ok {
-			break
-		}
-		out = append(out, b)
-	}
-	if err := m.Err(); err != nil {
-		twigSp.End()
-		return nil, nil, err
-	}
-	stats := m.Stats()
-	twigSp.Add("candidates", int64(stats.Candidates))
-	twigSp.Add("postings_scanned", int64(stats.PostingsScanned))
-	twigSp.Add("record_filter_fetches", int64(stats.RecordFilterFetches))
-	twigSp.Add("path_solutions", int64(stats.IntermediateBindings))
-	twigSp.End()
-	sp.Add("witnesses", int64(len(out)))
-	if cerr := m.Close(); cerr != nil {
-		return nil, nil, cerr
-	}
-	return out, stats, nil
+	return matchTwig(ctx, db, pt, sp)
 }
-
-// OpenMem streams the in-memory matcher's bindings through the Matcher
-// interface, unifying the three historical code paths behind one face.
-// Bindings carry postings synthesized from the nodes' intervals; the
-// record locations (RIDs) are zero, since in-memory trees have no
-// stored records.
-func OpenMem(pt *pattern.Tree, trees []*xmltree.Node) Matcher {
-	bs := Match(pt, trees)
-	m := &memMatcher{out: make([]DBBinding, len(bs))}
-	m.stats.Matcher = "mem"
-	for i, b := range bs {
-		dst := make(DBBinding, len(b))
-		for label, n := range b {
-			dst[label] = storage.Posting{Interval: n.Interval}
-		}
-		m.out[i] = dst
-	}
-	return m
-}
-
-type memMatcher struct {
-	out   []DBBinding
-	pos   int
-	stats DBStats
-}
-
-func (m *memMatcher) Next() (DBBinding, bool) {
-	if m.pos >= len(m.out) {
-		return nil, false
-	}
-	b := m.out[m.pos]
-	m.pos++
-	m.stats.Witnesses++
-	return b, true
-}
-
-func (m *memMatcher) Stats() *DBStats { return &m.stats }
-func (m *memMatcher) Err() error      { return nil }
-func (m *memMatcher) Close() error    { return nil }

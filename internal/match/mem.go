@@ -1,20 +1,23 @@
 // Package match implements pattern-tree matching: computing the witness
 // trees (tuples of node bindings) of a pattern against XML data.
 //
-// Two matchers are provided with identical semantics:
+// Two entry points are provided with identical semantics:
 //
 //   - Match embeds a pattern into in-memory trees by direct traversal.
-//     The logical TAX operators (package tax) use it.
-//   - MatchDB embeds a pattern into a stored database using the tag and
-//     value indices to obtain candidate posting lists and single-pass
-//     structural joins to connect them, one pattern edge at a time —
-//     the strategy of Sec. 5.2. Bindings come back as node identifiers
-//     (postings) without touching node records except where a
-//     predicate cannot be answered from an index.
+//     The logical TAX operators (package tax) use it, and it is the
+//     reference the database matchers are tested against.
+//   - MatchKindObs embeds a pattern into a stored database. Its binary
+//     cascade uses the tag and value indices to obtain candidate
+//     posting lists and single-pass structural joins to connect them,
+//     one pattern edge at a time — the strategy of Sec. 5.2; its
+//     holistic twig join streams the same postings off B+tree cursors
+//     (twig.go). Bindings come back as node identifiers (postings)
+//     without touching node records except where a predicate cannot be
+//     answered from an index.
 //
 // Both return witnesses sorted lexicographically by the bound node IDs
-// in pattern pre-order, so results are deterministic and the two
-// matchers agree exactly (a property the test suite checks).
+// in pattern pre-order, so results are deterministic and the matchers
+// agree exactly (a property the test suite checks).
 package match
 
 import (
@@ -33,9 +36,6 @@ type nodeFields struct{ n *xmltree.Node }
 func (f nodeFields) Tag() string                     { return f.n.Tag }
 func (f nodeFields) Content() string                 { return f.n.Content }
 func (f nodeFields) Attr(name string) (string, bool) { return f.n.Attr(name) }
-
-// NodeFields exposes an in-memory node as predicate-testable fields.
-func NodeFields(n *xmltree.Node) pattern.Fields { return nodeFields{n} }
 
 // Match returns every embedding of the pattern into the given trees.
 // The pattern root may bind to any node of any tree (including interior

@@ -1,8 +1,10 @@
 package match
 
 import (
+	"context"
 	"sort"
 
+	"timber/internal/obs"
 	"timber/internal/pattern"
 	"timber/internal/storage"
 	"timber/internal/xmltree"
@@ -159,6 +161,49 @@ type twigMatcher struct {
 	pos int
 }
 
+// matchTwig is MatchKindObs's holistic branch: it drains a twig matcher
+// into the full witness slice, checking ctx every 1024 bindings. The
+// caller has checked TwigApplicable.
+func matchTwig(ctx context.Context, db storage.Reader, pt *pattern.Tree, sp *obs.Span) ([]DBBinding, *DBStats, error) {
+	m, err := openTwig(db, pt)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer m.Close()
+	twigSp := sp.Child("twig: pattern match")
+	var out []DBBinding
+	for {
+		if ctx != nil && len(out)%1024 == 0 {
+			select {
+			case <-ctx.Done():
+				twigSp.End()
+				return nil, nil, ctx.Err()
+			default:
+			}
+		}
+		b, ok := m.Next()
+		if !ok {
+			break
+		}
+		out = append(out, b)
+	}
+	if err := m.Err(); err != nil {
+		twigSp.End()
+		return nil, nil, err
+	}
+	stats := m.Stats()
+	twigSp.Add("candidates", int64(stats.Candidates))
+	twigSp.Add("postings_scanned", int64(stats.PostingsScanned))
+	twigSp.Add("record_filter_fetches", int64(stats.RecordFilterFetches))
+	twigSp.Add("path_solutions", int64(stats.IntermediateBindings))
+	twigSp.End()
+	sp.Add("witnesses", int64(len(out)))
+	if cerr := m.Close(); cerr != nil {
+		return nil, nil, cerr
+	}
+	return out, stats, nil
+}
+
 // openTwig builds the streams and primes them. The caller has checked
 // TwigApplicable.
 func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
@@ -261,8 +306,11 @@ func (m *twigMatcher) Next() (DBBinding, bool) {
 	}
 }
 
+// Stats returns the access counters; Witnesses counts the bindings
+// returned so far.
 func (m *twigMatcher) Stats() *DBStats { return m.stats }
 
+// Err reports the first error a stream hit, if any.
 func (m *twigMatcher) Err() error { return m.err }
 
 // Close releases the matcher's cursors and snapshot pin. Idempotent.

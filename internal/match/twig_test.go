@@ -40,11 +40,10 @@ func sameBindings(t *testing.T, pt *pattern.Tree, want, got []DBBinding, label s
 	}
 }
 
-// TestTwigMatchesBinaryProperty is the tentpole's hard invariant: on
+// TestTwigMatchesBinaryProperty is the twig matcher's hard invariant: on
 // random documents and patterns the holistic matcher returns exactly
-// the binary cascade's bindings — same postings, same order — both in
-// bulk (at parallelism 1 and 4) and through the streaming Matcher
-// interface.
+// the binary cascade's bindings — same postings, same order — at
+// parallelism 1 and 4.
 func TestTwigMatchesBinaryProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -82,30 +81,6 @@ func TestTwigMatchesBinaryProperty(t *testing.T) {
 					if bin[i][l] != twig[i][l] {
 						return false
 					}
-				}
-			}
-		}
-		// Streaming face: pull one binding at a time.
-		m, err := Open(db, pt, MatcherTwig)
-		if err != nil {
-			return false
-		}
-		defer m.Close()
-		var streamed []DBBinding
-		for {
-			b, ok := m.Next()
-			if !ok {
-				break
-			}
-			streamed = append(streamed, b)
-		}
-		if m.Err() != nil || len(streamed) != len(bin) {
-			return false
-		}
-		for i := range bin {
-			for _, l := range pt.Labels() {
-				if bin[i][l] != streamed[i][l] {
-					return false
 				}
 			}
 		}
@@ -264,43 +239,6 @@ func TestMatcherKindParse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(MatcherNames(), []string{"auto", "binary", "twig"}) {
 		t.Errorf("MatcherNames() = %v", MatcherNames())
-	}
-}
-
-// TestOpenMemMatcher: the in-memory matcher behind the unified
-// interface yields the same intervals as the database matchers.
-func TestOpenMemMatcher(t *testing.T) {
-	root := paperdata.SampleDatabase()
-	xmltree.Number(root, 1)
-	pr := pattern.NewNode("$1", pattern.TagEq{Tag: "article"})
-	pr.AddChild(pattern.Child, pattern.NewNode("$2", pattern.TagEq{Tag: "author"}))
-	pt := pattern.MustTree(pr)
-
-	db := newTestDB(t)
-	if _, err := db.LoadDocument("bib", root); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := MatchDB(db, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := OpenMem(pt, []*xmltree.Node{root})
-	defer m.Close()
-	i := 0
-	for {
-		b, ok := m.Next()
-		if !ok {
-			break
-		}
-		for _, l := range pt.Labels() {
-			if b[l].Interval != want[i][l].Interval {
-				t.Fatalf("binding %d label %s interval = %v, want %v", i, l, b[l].Interval, want[i][l].Interval)
-			}
-		}
-		i++
-	}
-	if i != len(want) || m.Stats().Witnesses != i {
-		t.Fatalf("streamed %d bindings (stats %d), want %d", i, m.Stats().Witnesses, len(want))
 	}
 }
 

@@ -242,7 +242,7 @@ func edgeRows(cat *stats.Catalog, parentTag string, parentRows float64, childTag
 
 // greedyEstOrder simulates the binary cascade's join ordering on
 // estimated candidate-list sizes: among unbound nodes whose parent is
-// bound, take the smallest list first (MatchDB uses actual list
+// bound, take the smallest list first (the matcher uses actual list
 // lengths; the planner only has estimates).
 func greedyEstOrder(order []*pattern.Node, idx map[string]int, est []float64) []int {
 	bound := make([]bool, len(order))

@@ -31,11 +31,28 @@ RETURN
 	if err != nil || !applied {
 		t.Fatalf("rewrite: applied=%v err=%v", applied, err)
 	}
-	breakers := plan.Breakers(rewritten)
-	if len(breakers) != 1 {
-		t.Fatalf("breakers = %d, want 1", len(breakers))
+	// Plans are DAGs (stitch parts share their grouped input), so each
+	// operator is counted once.
+	groupBys := 0
+	seen := map[plan.Op]bool{}
+	var walk func(plan.Op)
+	walk = func(op plan.Op) {
+		if op == nil || seen[op] {
+			return
+		}
+		seen[op] = true
+		switch op.(type) {
+		case *plan.GroupBy:
+			groupBys++
+		case *plan.SortChildrenByPath:
+			t.Errorf("rewritten plan has an ordering sort %s", op.Describe())
+		}
+		for _, in := range op.Inputs() {
+			walk(in)
+		}
 	}
-	if _, ok := breakers[0].(*plan.GroupBy); !ok {
-		t.Errorf("breaker = %T, want *plan.GroupBy", breakers[0])
+	walk(rewritten)
+	if groupBys != 1 {
+		t.Errorf("rewritten plan has %d GroupBy operators, want 1", groupBys)
 	}
 }

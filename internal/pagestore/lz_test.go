@@ -144,7 +144,7 @@ func FuzzLZRoundTrip(f *testing.F) {
 // TestStoreWithCodec exercises the compressed slot path end to end:
 // write pages through the pool, evict, flush, and read them back.
 func TestStoreWithCodec(t *testing.T) {
-	st, err := CreateTemp(Options{PageSize: 512, PoolPages: 4, Shards: 1, Codec: LZ()})
+	st, err := CreateTemp(Options{PageSize: 512, PoolPages: 4, Codec: LZ()})
 	if err != nil {
 		t.Fatal(err)
 	}

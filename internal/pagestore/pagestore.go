@@ -11,8 +11,12 @@
 //
 // The buffer pool is sharded for concurrency: pages hash to one of N
 // shards, each with its own mutex, frame table and LRU list, so
-// concurrent readers on different shards never contend. Counters are
-// atomic. See DESIGN.md "Concurrency model".
+// concurrent readers on different shards never contend. N is derived
+// from the pool size (see shardCount): every shard holds at least
+// minShardFrames frames, so a pool under twice that is one exact LRU
+// and no set of up to minShardFrames pinned pages can exhaust a pool,
+// whatever their IDs. Counters are atomic. See DESIGN.md "Concurrency
+// model".
 //
 // Every slot carries a CRC-32C checksum (codec.go), so torn writes from
 // a crash surface as checksum errors instead of silently decoded
@@ -40,9 +44,21 @@ import (
 // DefaultPageSize is the page size used by the paper's experiments.
 const DefaultPageSize = 8192
 
-// DefaultShards is the default buffer pool shard count (clamped so that
-// every shard holds at least one frame).
-const DefaultShards = 16
+// maxShards caps the buffer pool's lock striping; minShardFrames is the
+// fewest frames any shard holds (see shardCount).
+const (
+	maxShards      = 16
+	minShardFrames = 64
+)
+
+// shardCount derives the buffer pool's shard count from its size:
+// max(1, min(maxShards, poolPages/minShardFrames)). Pinned frames are
+// capped per shard, so the floor is what makes pin admission safe: any
+// minShardFrames pinned pages fit, even if they all hash to one shard.
+// Large pools still stripe their lock across up to maxShards shards.
+func shardCount(poolPages int) int {
+	return max(1, min(maxShards, poolPages/minShardFrames))
+}
 
 // PageID identifies a page within a store. Pages are numbered densely
 // from 0 in allocation order.
@@ -110,11 +126,6 @@ type Options struct {
 	// PoolPages is the buffer pool capacity in pages. Defaults to 4096
 	// pages (32 MB at the default page size, matching the paper).
 	PoolPages int
-	// Shards is the number of buffer pool shards. Defaults to
-	// DefaultShards, clamped to PoolPages so each shard holds at least
-	// one frame. Shards: 1 reproduces the single-lock pool exactly
-	// (one global LRU).
-	Shards int
 	// Codec enables per-page compression (see codec.go). Every page
 	// write records its compressed and uncompressed byte counts in
 	// Stats. Must match the codec (or its absence) the file was
@@ -128,15 +139,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PoolPages == 0 {
 		o.PoolPages = 4096
-	}
-	if o.Shards == 0 {
-		o.Shards = DefaultShards
-	}
-	if o.Shards > o.PoolPages {
-		o.Shards = o.PoolPages
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
 	}
 	return o
 }
@@ -251,7 +253,9 @@ func (c *counters) reset() {
 }
 
 // ErrPoolExhausted is returned when every frame in the buffer pool
-// shard a page hashes to is pinned and the page must be brought in.
+// shard a page hashes to stays pinned and the page must be brought in.
+// Every shard holds at least min(PoolPages, minShardFrames) frames, so
+// it takes more than that many concurrently pinned pages to cause it.
 var ErrPoolExhausted = errors.New("pagestore: buffer pool exhausted (all frames pinned)")
 
 // ErrClosed is returned by operations on a closed store.
@@ -414,7 +418,8 @@ func newStore(f File, opts Options, numPages uint32) (*Store, error) {
 	if o.PoolPages < 1 {
 		return nil, errors.Join(errors.New("pagestore: pool must hold at least one page"), f.Close())
 	}
-	s := &Store{file: f, opts: o, shards: make([]shard, o.Shards), codec: o.Codec}
+	nshards := shardCount(o.PoolPages)
+	s := &Store{file: f, opts: o, shards: make([]shard, nshards), codec: o.Codec}
 	s.usable = o.PageSize - slotHeaderLen
 	// Compress output can exceed the input on incompressible data;
 	// give the scratch buffers headroom so Compress rarely grows.
@@ -427,12 +432,12 @@ func newStore(f File, opts Options, numPages uint32) (*Store, error) {
 		sh := &s.shards[i]
 		sh.frames = make(map[PageID]*frame)
 		sh.lru = list.New()
-		// Shard i caches pages with id % Shards == i; its capacity is
+		// Shard i caches pages with id % nshards == i; its capacity is
 		// the number of such ids among any PoolPages consecutive dense
 		// ids, so a fully pinned dense working set fills the pool
-		// exactly as the single-lock pool did.
-		sh.cap = o.PoolPages / o.Shards
-		if i < o.PoolPages%o.Shards {
+		// exactly as a single-lock pool would.
+		sh.cap = o.PoolPages / nshards
+		if i < o.PoolPages%nshards {
 			sh.cap++
 		}
 	}
@@ -482,9 +487,6 @@ func (s *Store) rawPage(id PageID) bool {
 
 // PoolPages returns the buffer pool capacity in pages.
 func (s *Store) PoolPages() int { return s.opts.PoolPages }
-
-// Shards returns the number of buffer pool shards.
-func (s *Store) Shards() int { return len(s.shards) }
 
 // NumPages returns the number of allocated pages.
 func (s *Store) NumPages() uint32 { return s.numPages.Load() }

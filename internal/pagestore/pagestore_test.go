@@ -148,8 +148,9 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	// One shard = one global LRU, so eviction order is exact.
-	st := tempStore(t, Options{PageSize: 256, PoolPages: 2, Shards: 1})
+	// A two-frame pool is one shard = one global LRU, so eviction order
+	// is exact.
+	st := tempStore(t, Options{PageSize: 256, PoolPages: 2})
 	a, _ := st.Allocate()
 	st.Unpin(a, true)
 	b, _ := st.Allocate()

@@ -21,31 +21,37 @@ func checkStamp(data []byte, id PageID) bool {
 		binary.LittleEndian.Uint32(data[4:]) == ^uint32(id)
 }
 
-// TestShardedOracle drives a sharded store and a single-lock (Shards:1)
-// store through the same randomized operation sequence and checks they
-// behave identically where the policy is shared: same page contents at
-// every fetch, same logical counters (fetches, allocations), and sane
+// TestShardedOracle drives a sharded store (a 3-shard pool) and a
+// single-lock store (a pool under two shards' worth of frames) through
+// the same randomized operation sequence and checks they behave
+// identically where the policy is shared: same page contents at every
+// fetch, same logical counters (fetches, allocations), and sane
 // eviction accounting (hits + physical reads = fetches; every evicted
-// page is recoverable from disk).
+// page is recoverable from disk). The runs allocate several times
+// either pool's capacity and rarely drop the cache, so both evict.
 func TestShardedOracle(t *testing.T) {
+	var evicted [2]uint64 // sharded, single: summed over all runs
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sharded, err := CreateTemp(Options{PageSize: 128, PoolPages: 6, Shards: 3})
+		sharded, err := CreateTemp(Options{PageSize: 128, PoolPages: 3 * minShardFrames})
 		if err != nil {
 			return false
 		}
 		defer sharded.Close()
-		single, err := CreateTemp(Options{PageSize: 128, PoolPages: 6, Shards: 1})
+		single, err := CreateTemp(Options{PageSize: 128, PoolPages: minShardFrames + 5})
 		if err != nil {
 			return false
 		}
 		defer single.Close()
+		if len(sharded.shards) != 3 || len(single.shards) != 1 {
+			return false
+		}
 
 		stores := []*Store{sharded, single}
 		content := map[PageID]byte{} // shared oracle of page payloads
-		for op := 0; op < 300; op++ {
-			switch r := rng.Intn(10); {
-			case r < 3 || len(content) == 0: // allocate on both
+		for op := 0; op < 2500; op++ {
+			switch r := rng.Intn(1000); {
+			case r < 300 || len(content) == 0: // allocate on both
 				v := byte(rng.Intn(256))
 				var id PageID
 				for i, st := range stores {
@@ -63,7 +69,7 @@ func TestShardedOracle(t *testing.T) {
 					st.Unpin(p, true)
 				}
 				content[id] = v
-			case r < 8: // fetch and verify on both, maybe rewrite
+			case r < 800: // fetch and verify on both, maybe rewrite
 				id := PageID(rng.Intn(int(sharded.NumPages())))
 				rewrite := rng.Intn(2) == 0
 				v := byte(rng.Intn(256))
@@ -84,7 +90,7 @@ func TestShardedOracle(t *testing.T) {
 				if rewrite {
 					content[id] = v
 				}
-			case r == 8:
+			case r < 802:
 				for _, st := range stores {
 					if err := st.DropCache(); err != nil {
 						return false
@@ -104,13 +110,14 @@ func TestShardedOracle(t *testing.T) {
 		if a.Fetches != b.Fetches || a.Allocations != b.Allocations {
 			return false
 		}
-		for _, s := range []Stats{a, b} {
+		for i, s := range []Stats{a, b} {
 			if s.Hits+s.PhysicalReads != s.Fetches {
 				return false
 			}
 			if s.Evictions > s.Fetches+s.Allocations {
 				return false
 			}
+			evicted[i] += s.Evictions
 		}
 		// Final contents identical.
 		for id, v := range content {
@@ -131,28 +138,32 @@ func TestShardedOracle(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+	if evicted[0] == 0 || evicted[1] == 0 {
+		t.Errorf("evictions sharded=%d single=%d, want both > 0", evicted[0], evicted[1])
+	}
 }
 
-// TestShardCapacityPartition checks that shard capacities sum to
-// PoolPages and match the dense-ID distribution, for awkward shard
-// counts.
+// TestShardCapacityPartition checks the derived shard count
+// max(1, min(16, PoolPages/64)) and that shard capacities sum to
+// PoolPages, each holding at least min(PoolPages, 64) frames.
 func TestShardCapacityPartition(t *testing.T) {
 	for _, tc := range []struct{ pool, shards int }{
-		{1, 16}, {2, 16}, {7, 3}, {16, 16}, {4096, 16}, {5, 4},
+		{1, 1}, {2, 1}, {32, 1}, {127, 1}, {128, 2}, {200, 3},
+		{991, 15}, {1024, 16}, {1087, 16}, {4096, 16},
 	} {
-		st := tempStore(t, Options{PageSize: 128, PoolPages: tc.pool, Shards: tc.shards})
+		st := tempStore(t, Options{PageSize: 128, PoolPages: tc.pool})
+		if len(st.shards) != tc.shards {
+			t.Errorf("pool=%d: %d shards, want %d", tc.pool, len(st.shards), tc.shards)
+		}
 		sum := 0
 		for i := range st.shards {
-			if st.shards[i].cap < 1 {
-				t.Errorf("pool=%d shards=%d: shard %d has zero capacity", tc.pool, tc.shards, i)
+			if c := st.shards[i].cap; c < min(tc.pool, minShardFrames) {
+				t.Errorf("pool=%d: shard %d holds %d frames", tc.pool, i, c)
 			}
 			sum += st.shards[i].cap
 		}
 		if sum != tc.pool {
-			t.Errorf("pool=%d shards=%d: capacities sum to %d", tc.pool, tc.shards, sum)
-		}
-		if st.Shards() > tc.pool {
-			t.Errorf("pool=%d: %d shards exceed pool", tc.pool, st.Shards())
+			t.Errorf("pool=%d: capacities sum to %d", tc.pool, sum)
 		}
 	}
 }
@@ -162,8 +173,8 @@ func TestShardCapacityPartition(t *testing.T) {
 // fetch must observe the page's stamped contents even while other
 // goroutines force evictions, and the counters must balance afterwards.
 func TestConcurrentReadersStress(t *testing.T) {
-	st := tempStore(t, Options{PageSize: 256, PoolPages: 8, Shards: 4})
-	const npages = 64
+	st := tempStore(t, Options{PageSize: 256, PoolPages: 2 * minShardFrames})
+	const npages = 8 * minShardFrames
 	for i := 0; i < npages; i++ {
 		p, err := st.Allocate()
 		if err != nil {
@@ -221,8 +232,8 @@ func TestConcurrentReadersStress(t *testing.T) {
 // whole working set, hit/miss totals are schedule-independent — each
 // page misses exactly once no matter how many goroutines race for it.
 func TestConcurrentFetchCountersExact(t *testing.T) {
-	st := tempStore(t, Options{PageSize: 256, PoolPages: 64, Shards: 8})
-	const npages = 32
+	st := tempStore(t, Options{PageSize: 256, PoolPages: 2 * minShardFrames})
+	const npages = 2 * minShardFrames
 	for i := 0; i < npages; i++ {
 		p, err := st.Allocate()
 		if err != nil {
@@ -270,5 +281,93 @@ func TestConcurrentFetchCountersExact(t *testing.T) {
 	}
 	if s.Evictions != 0 {
 		t.Errorf("evictions = %d, want 0", s.Evictions)
+	}
+}
+
+// TestPinnedPagesNeverExhaustPool is the pin-admission guarantee of the
+// derived shard count: several goroutines together pin N ≤
+// min(PoolPages, 64) distinct pages whose IDs all hash to one shard —
+// the adversarial case for a striped pool — hold every pin at once, and
+// must never see ErrPoolExhausted. Before each round the pool is filled
+// with other pages, so the pins must evict to get frames.
+func TestPinnedPagesNeverExhaustPool(t *testing.T) {
+	for _, pool := range []int{32, 2 * minShardFrames, 991} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			st := tempStore(t, Options{PageSize: 128, PoolPages: pool})
+			nshards := len(st.shards)
+			if pool >= 2*minShardFrames && nshards < 2 {
+				t.Fatalf("pool=%d has %d shard(s), want at least 2", pool, nshards)
+			}
+			// Every shard residue gets 2*minShardFrames pages.
+			perShard := 2 * minShardFrames
+			npages := perShard * nshards
+			for i := 0; i < npages; i++ {
+				p, err := st.Allocate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stampPage(p.Data(), p.ID())
+				st.Unpin(p, true)
+			}
+			prop := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < pool; i++ {
+					p, err := st.Fetch(PageID(rng.Intn(npages)))
+					if err != nil {
+						t.Log(err)
+						return false
+					}
+					st.Unpin(p, false)
+				}
+				residue := rng.Intn(nshards)
+				n := 1 + rng.Intn(min(pool, minShardFrames))
+				ids := make([]PageID, n)
+				for i, k := range rng.Perm(perShard)[:n] {
+					ids[i] = PageID(residue + k*nshards)
+				}
+				workers := 1 + rng.Intn(8)
+				var held, done sync.WaitGroup
+				held.Add(workers)
+				errc := make(chan error, workers)
+				for w := 0; w < workers; w++ {
+					done.Add(1)
+					go func(mine []PageID) {
+						defer done.Done()
+						var pinned []*Page
+						var err error
+						for _, id := range mine {
+							p, ferr := st.Fetch(id)
+							if ferr != nil {
+								err = fmt.Errorf("pin %d of %d pages: %w", len(pinned)+1, n, ferr)
+								break
+							}
+							pinned = append(pinned, p)
+							if !checkStamp(p.Data(), id) {
+								err = fmt.Errorf("page %d contents corrupted", id)
+								break
+							}
+						}
+						held.Done()
+						held.Wait() // every goroutine holds its pins at once
+						for _, p := range pinned {
+							st.Unpin(p, false)
+						}
+						errc <- err
+					}(ids[w*n/workers : (w+1)*n/workers])
+				}
+				done.Wait()
+				close(errc)
+				for err := range errc {
+					if err != nil {
+						t.Logf("seed %d: %v", seed, err)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -416,3 +416,30 @@ func TestProjectPerTreeBareRoot(t *testing.T) {
 		t.Errorf("bare root = %s", out.Trees[0])
 	}
 }
+
+// TestBreakersNaivePlan pins that the naive translated plan of Query 1
+// has no pipeline breakers — no grouping or ordering sort; it is pure
+// selection/projection/stitching. The breakers appear only after the
+// GROUPBY rewrite.
+func TestBreakersNaivePlan(t *testing.T) {
+	naive, err := Translate(xq.MustParse(Query1Src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[Op]bool{}
+	var walk func(Op)
+	walk = func(op Op) {
+		if op == nil || seen[op] {
+			return
+		}
+		seen[op] = true
+		switch op.(type) {
+		case *GroupBy, *SortChildrenByPath:
+			t.Errorf("naive plan has breaker %s", op.Describe())
+		}
+		for _, in := range op.Inputs() {
+			walk(in)
+		}
+	}
+	walk(naive)
+}

@@ -71,8 +71,9 @@ type Pair struct {
 // descs, both sorted by (doc, start). It returns all (a, d) index pairs
 // where ancs[a] contains descs[d] (and, for ParentChild, is exactly one
 // level up). Output pairs are grouped by descendant in document order;
-// within one descendant, ancestors appear outermost first.
-func StackTree(ancs, descs []xmltree.Interval, axis Axis) []Pair {
+// within one descendant, ancestors appear outermost first. The join's
+// input and output sizes are recorded into m (nil m records nothing).
+func StackTree(ancs, descs []xmltree.Interval, axis Axis, m *Metrics) []Pair {
 	var out []Pair
 	// stack holds indices into ancs of nodes that contain the current
 	// scan position, outermost at the bottom.
@@ -100,6 +101,7 @@ func StackTree(ancs, descs []xmltree.Interval, axis Axis) []Pair {
 		}
 		di++
 	}
+	m.note(len(ancs), len(descs), len(out))
 	return out
 }
 
@@ -151,8 +153,10 @@ func docSegments(ivs []xmltree.Interval) []segment {
 // A non-nil ctx cancels the join between document partitions (and, on
 // the parallel path, mid-batch inside the worker pool); a cancelled
 // join returns ctx.Err() and no pairs — never a silently truncated
-// pair list.
-func StackTreePar(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis, workers int) ([]Pair, error) {
+// pair list — and records nothing. A completed join records its total
+// input and output sizes into m as one logical join (the per-document
+// partitions are an implementation detail; nil m records nothing).
+func StackTreePar(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis, workers int, m *Metrics) ([]Pair, error) {
 	dsegs := docSegments(descs)
 	if workers <= 1 || len(dsegs) <= 1 {
 		if ctx != nil {
@@ -162,7 +166,7 @@ func StackTreePar(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis
 			default:
 			}
 		}
-		return StackTree(ancs, descs, axis), nil
+		return StackTree(ancs, descs, axis, m), nil
 	}
 	asegs := docSegments(ancs)
 	parts := make([][]Pair, len(dsegs))
@@ -174,7 +178,7 @@ func StackTreePar(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis
 			return nil
 		}
 		as := asegs[i]
-		pairs := StackTree(ancs[as.lo:as.hi], descs[ds.lo:ds.hi], axis)
+		pairs := StackTree(ancs[as.lo:as.hi], descs[ds.lo:ds.hi], axis, nil)
 		for p := range pairs {
 			pairs[p].A += as.lo
 			pairs[p].D += ds.lo
@@ -192,26 +196,6 @@ func StackTreePar(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis
 	out := make([]Pair, 0, total)
 	for _, p := range parts {
 		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// StackTreeM is StackTree recording its input and output sizes into m
-// (nil m records nothing).
-func StackTreeM(ancs, descs []xmltree.Interval, axis Axis, m *Metrics) []Pair {
-	out := StackTree(ancs, descs, axis)
-	m.note(len(ancs), len(descs), len(out))
-	return out
-}
-
-// StackTreeParM is StackTreePar recording the join's total input and
-// output sizes into m as one logical join (the per-document partitions
-// are an implementation detail; nil m records nothing). A cancelled
-// join records nothing.
-func StackTreeParM(ctx context.Context, ancs, descs []xmltree.Interval, axis Axis, workers int, m *Metrics) ([]Pair, error) {
-	out, err := StackTreePar(ctx, ancs, descs, axis, workers)
-	if err != nil {
-		return nil, err
 	}
 	m.note(len(ancs), len(descs), len(out))
 	return out, nil

@@ -45,7 +45,7 @@ func TestStackTreeAncestorDescendant(t *testing.T) {
 	root := sampleDoc()
 	arts := intervalsOf([]*xmltree.Node{root}, "article")
 	authors := intervalsOf([]*xmltree.Node{root}, "author")
-	pairs := StackTree(arts, authors, AncestorDescendant)
+	pairs := StackTree(arts, authors, AncestorDescendant, nil)
 	// Every author is inside exactly one article here.
 	want := []Pair{{A: 0, D: 0}, {A: 0, D: 1}, {A: 1, D: 2}}
 	if !reflect.DeepEqual(pairs, want) {
@@ -57,7 +57,7 @@ func TestStackTreeParentChild(t *testing.T) {
 	root := sampleDoc()
 	arts := intervalsOf([]*xmltree.Node{root}, "article")
 	authors := intervalsOf([]*xmltree.Node{root}, "author")
-	pairs := StackTree(arts, authors, ParentChild)
+	pairs := StackTree(arts, authors, ParentChild, nil)
 	// The "Deep" author is a grandchild of article 2, so only the two
 	// direct authors survive.
 	want := []Pair{{A: 0, D: 0}, {A: 0, D: 1}}
@@ -79,7 +79,7 @@ func TestStackTreeNestedAncestors(t *testing.T) {
 	xmltree.Number(root, 1)
 	secs := intervalsOf([]*xmltree.Node{root}, "section")
 	ps := intervalsOf([]*xmltree.Node{root}, "p")
-	pairs := StackTree(secs, ps, AncestorDescendant)
+	pairs := StackTree(secs, ps, AncestorDescendant, nil)
 	want := []Pair{{A: 0, D: 0}, {A: 1, D: 0}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("nested pairs = %v, want %v", pairs, want)
@@ -90,7 +90,7 @@ func TestStackTreeSelfJoinExcludesSelf(t *testing.T) {
 	root := xmltree.E("a", xmltree.E("a", xmltree.E("a")))
 	xmltree.Number(root, 1)
 	as := intervalsOf([]*xmltree.Node{root}, "a")
-	pairs := StackTree(as, as, AncestorDescendant)
+	pairs := StackTree(as, as, AncestorDescendant, nil)
 	// outer-mid, outer-inner, mid-inner; never (x, x).
 	if len(pairs) != 3 {
 		t.Fatalf("self join pairs = %v", pairs)
@@ -110,7 +110,7 @@ func TestStackTreeAcrossDocuments(t *testing.T) {
 	roots := []*xmltree.Node{r1, r2}
 	arts := intervalsOf(roots, "article")
 	auths := intervalsOf(roots, "author")
-	pairs := StackTree(arts, auths, AncestorDescendant)
+	pairs := StackTree(arts, auths, AncestorDescendant, nil)
 	want := []Pair{{A: 0, D: 0}, {A: 1, D: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("cross-doc pairs = %v, want %v", pairs, want)
@@ -120,10 +120,10 @@ func TestStackTreeAcrossDocuments(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	root := sampleDoc()
 	arts := intervalsOf([]*xmltree.Node{root}, "article")
-	if got := StackTree(nil, arts, AncestorDescendant); len(got) != 0 {
+	if got := StackTree(nil, arts, AncestorDescendant, nil); len(got) != 0 {
 		t.Errorf("nil ancestors: %v", got)
 	}
-	if got := StackTree(arts, nil, AncestorDescendant); len(got) != 0 {
+	if got := StackTree(arts, nil, AncestorDescendant, nil); len(got) != 0 {
 		t.Errorf("nil descendants: %v", got)
 	}
 	if got := NestedLoop(nil, nil, ParentChild); len(got) != 0 {
@@ -172,7 +172,7 @@ func TestStackTreeMatchesNestedLoopProperty(t *testing.T) {
 		if pc {
 			axis = ParentChild
 		}
-		got := StackTree(alist, dlist, axis)
+		got := StackTree(alist, dlist, axis, nil)
 		want := NestedLoop(alist, dlist, axis)
 		if len(got) != len(want) {
 			return false
@@ -194,7 +194,7 @@ func BenchmarkStackTreeJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		StackTree(alist, dlist, AncestorDescendant)
+		StackTree(alist, dlist, AncestorDescendant, nil)
 	}
 }
 
@@ -224,9 +224,10 @@ func benchLists() (arts, authors []xmltree.Interval) {
 }
 
 // TestStackTreeParMatchesSequentialProperty: the per-document parallel
-// join must return exactly the sequential pairs, in the same order,
-// for any worker count — compare element-wise (the parallel path
-// returns an empty non-nil slice where the sequential returns nil).
+// join must return exactly the sequential pairs, in the same order, and
+// record the same metrics, for any worker count — compare element-wise
+// (the parallel path returns an empty non-nil slice where the
+// sequential returns nil).
 func TestStackTreeParMatchesSequentialProperty(t *testing.T) {
 	prop := func(seed int64, pc bool, workers uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,9 +236,14 @@ func TestStackTreeParMatchesSequentialProperty(t *testing.T) {
 		if pc {
 			axis = ParentChild
 		}
-		want := StackTree(alist, dlist, axis)
-		got, err := StackTreePar(nil, alist, dlist, axis, int(workers%8)+1)
+		var wm, gm Metrics
+		want := StackTree(alist, dlist, axis, &wm)
+		got, err := StackTreePar(nil, alist, dlist, axis, int(workers%8)+1, &gm)
 		if err != nil {
+			return false
+		}
+		if wm.Joins.Load() != gm.Joins.Load() || wm.Ancestors.Load() != gm.Ancestors.Load() ||
+			wm.Descendants.Load() != gm.Descendants.Load() || wm.Pairs.Load() != gm.Pairs.Load() {
 			return false
 		}
 		if len(got) != len(want) {
@@ -257,24 +263,20 @@ func TestStackTreeParMatchesSequentialProperty(t *testing.T) {
 
 // TestStackTreeParCancelled: an already-cancelled context must yield
 // ctx.Err() and no pairs on both the single-worker fallback and the
-// pooled path, and a metrics-recording join must record nothing for
-// the cancelled run.
+// pooled path, and must record nothing into its metrics.
 func TestStackTreeParCancelled(t *testing.T) {
 	arts, authors := benchLists()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	var m Metrics
 	for _, workers := range []int{1, 4} {
-		pairs, err := StackTreePar(ctx, arts, authors, AncestorDescendant, workers)
+		pairs, err := StackTreePar(ctx, arts, authors, AncestorDescendant, workers, &m)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 		}
 		if pairs != nil {
 			t.Fatalf("workers=%d: cancelled join returned %d pairs, want none", workers, len(pairs))
 		}
-	}
-	var m Metrics
-	if _, err := StackTreeParM(ctx, arts, authors, AncestorDescendant, 4, &m); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StackTreeParM err=%v, want context.Canceled", err)
 	}
 	if m.Joins.Load() != 0 || m.Pairs.Load() != 0 {
 		t.Fatalf("cancelled join recorded metrics: joins=%d pairs=%d", m.Joins.Load(), m.Pairs.Load())

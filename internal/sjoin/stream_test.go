@@ -38,7 +38,7 @@ func TestStreamMatchesStackTreeProperty(t *testing.T) {
 		if pc {
 			axis = ParentChild
 		}
-		want := StackTree(alist, dlist, axis)
+		want := StackTree(alist, dlist, axis, nil)
 		var got []Pair
 		s := NewStream(axis, nil, func(a, d int) { got = append(got, Pair{A: a, D: d}) })
 		pushMerged(s, alist, dlist)
@@ -66,7 +66,7 @@ func TestStreamReuseAcrossChunks(t *testing.T) {
 	var m Metrics
 	for chunk := 0; chunk < 4; chunk++ {
 		alist, dlist := randomForest(rng)
-		want := StackTree(alist, dlist, AncestorDescendant)
+		want := StackTree(alist, dlist, AncestorDescendant, nil)
 		var got []Pair
 		s := NewStream(AncestorDescendant, &m, func(a, d int) { got = append(got, Pair{A: a, D: d}) })
 		pushMerged(s, alist, dlist)
