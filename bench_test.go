@@ -7,14 +7,13 @@
 //	E2 (count query):   BenchmarkE2DirectCount (paper: 155.564s)
 //	                    BenchmarkE2GroupByCount (paper: 23.033s)
 //
-// plus the bracketing baselines (nested-loops and batch direct plans,
-// replicating grouping) and ablations (buffer pool size sweep, bulk vs
-// incremental index loading, structural-join algorithms — the last in
-// internal/sjoin). Absolute times are incomparable to the paper's
-// Pentium III; the reproduced quantity is the *shape*: the groupby plan
-// wins both experiments, and wins the count experiment by a much larger
-// factor. Per-iteration buffer-pool fetch counts are reported as
-// "fetches/op" — they are deterministic and machine-independent.
+// plus ablations (buffer pool size sweep, bulk vs incremental index
+// loading, structural-join algorithms — the last in internal/sjoin).
+// Absolute times are incomparable to the paper's Pentium III; the
+// reproduced quantity is the *shape*: the groupby plan wins both
+// experiments, and wins the count experiment by a much larger factor.
+// Per-iteration buffer-pool fetch counts are reported as "fetches/op"
+// — they are deterministic and machine-independent.
 //
 // The benchmark database defaults to 20,000 articles (~190k nodes) with
 // a pool scaled to keep the paper's roughly 1:3 pool:data ratio. Set
@@ -122,16 +121,6 @@ func BenchmarkE1DirectTitles(b *testing.B) {
 	runPlan(b, titles, exec.StrategyDirect, exec.Options{})
 }
 
-func BenchmarkE1DirectNestedLoopsTitles(b *testing.B) {
-	_, titles, _ := setupBench(b)
-	runPlan(b, titles, exec.StrategyDirectNested, exec.Options{})
-}
-
-func BenchmarkE1DirectBatchTitles(b *testing.B) {
-	_, titles, _ := setupBench(b)
-	runPlan(b, titles, exec.StrategyDirectBatch, exec.Options{})
-}
-
 func BenchmarkE1GroupByTitles(b *testing.B) {
 	_, titles, _ := setupBench(b)
 	runPlan(b, titles, exec.StrategyGroupBy, exec.Options{})
@@ -157,31 +146,9 @@ func BenchmarkE2DirectCount(b *testing.B) {
 	runPlan(b, count, exec.StrategyDirect, exec.Options{})
 }
 
-func BenchmarkE2DirectNestedLoopsCount(b *testing.B) {
-	_, _, count := setupBench(b)
-	runPlan(b, count, exec.StrategyDirectNested, exec.Options{})
-}
-
-func BenchmarkE2DirectBatchCount(b *testing.B) {
-	_, _, count := setupBench(b)
-	runPlan(b, count, exec.StrategyDirectBatch, exec.Options{})
-}
-
 func BenchmarkE2GroupByCount(b *testing.B) {
 	_, _, count := setupBench(b)
 	runPlan(b, count, exec.StrategyGroupBy, exec.Options{})
-}
-
-// --- A1: early replication vs identifier processing (Sec. 5.3) ------
-
-func BenchmarkAblationReplicating(b *testing.B) {
-	_, titles, _ := setupBench(b)
-	runPlan(b, titles, exec.StrategyReplicating, exec.Options{})
-}
-
-func BenchmarkAblationIdentifier(b *testing.B) {
-	_, titles, _ := setupBench(b)
-	runPlan(b, titles, exec.StrategyGroupBy, exec.Options{})
 }
 
 // --- A2: buffer pool size sensitivity -------------------------------

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's Section 6 evaluation:
 // the group-by-author query (E1, titles) and its count variant (E2)
-// executed with the direct plans and the GROUPBY plans over a
+// executed with the direct plan and the GROUPBY plan over a
 // synthetic DBLP-Journals database.
 //
 // Usage:
@@ -283,10 +283,9 @@ func run(articles, poolMB int, expSel string, seed int64, parFile, traceFile, st
 		}
 		var ms []bench.Measurement
 		if traceFile != "" {
-			// Traced runs: every strategy executes under a tracer whose
-			// span deltas are verified against the global counters, and
-			// the paper's two measured plans get their per-operator
-			// breakdown inlined into the BENCH output.
+			// Traced runs: both plans execute under a tracer whose span
+			// deltas are verified against the global counters, and each
+			// gets its per-operator breakdown inlined into the output.
 			ms, err = bench.RunExperimentTraced(db, q)
 		} else {
 			ms, err = bench.RunExperiment(db, q)
@@ -298,9 +297,6 @@ func run(articles, poolMB int, expSel string, seed int64, parFile, traceFile, st
 		if traceFile != "" {
 			traces.AddMeasurements(e.id, ms)
 			for _, m := range ms {
-				if m.Name != bench.StratDirectNaive && m.Name != bench.StratGroupBy {
-					continue
-				}
 				fmt.Printf("per-operator breakdown — %s:\n", m.Name)
 				fmt.Print(m.Trace.Text())
 			}

@@ -140,11 +140,12 @@ func TestQueryBadRequest(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	for name, body := range map[string]string{
-		"malformed query": `{"query": "this is not xquery"}`,
-		"bad strategy":    fmt.Sprintf(`{"query": %q, "strategy": "turbo"}`, query1),
-		"bad matcher":     fmt.Sprintf(`{"query": %q, "matcher": "psychic"}`, query1),
-		"missing query":   `{}`,
-		"bad json":        `{"query": `,
+		"malformed query":  `{"query": "this is not xquery"}`,
+		"bad strategy":     fmt.Sprintf(`{"query": %q, "strategy": "turbo"}`, query1),
+		"deleted strategy": fmt.Sprintf(`{"query": %q, "strategy": "replicating"}`, query1),
+		"bad matcher":      fmt.Sprintf(`{"query": %q, "matcher": "psychic"}`, query1),
+		"missing query":    `{}`,
+		"bad json":         `{"query": `,
 	} {
 		resp, raw := postQuery(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -155,8 +156,8 @@ func TestQueryBadRequest(t *testing.T) {
 			t.Errorf("%s: error body %s", name, raw)
 		}
 	}
-	if got := s.badReqs.Load(); got != 5 {
-		t.Errorf("bad-request counter = %d, want 5", got)
+	if got := s.badReqs.Load(); got != 6 {
+		t.Errorf("bad-request counter = %d, want 6", got)
 	}
 }
 
@@ -286,7 +287,7 @@ func TestConcurrentClients(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	strategies := []string{"groupby", "direct", "direct-nested", "direct-batch", "replicating", "physical"}
+	strategies := []string{"groupby", "groupby-mat", "direct", "physical"}
 	want := map[string]string{}
 	for _, name := range strategies {
 		body, _ := json.Marshal(queryRequest{Query: query1, Strategy: name})

@@ -111,33 +111,25 @@ func Measure(db *storage.DB, name string, fn func() (*exec.Result, error)) (Meas
 
 // Strategy names used in the report tables.
 const (
-	StratDirectNaive   = "direct (naive plan)"
-	StratDirectNested  = "direct (nested loops)"
-	StratDirectBatch   = "direct (batch join)"
-	StratGroupBy       = "groupby (identifier)"
-	StratGroupByReplic = "groupby (replicating)"
+	StratDirectNaive = "direct (naive plan)"
+	StratGroupBy     = "groupby (identifier)"
 )
 
 // strategies maps each report row to its exec.Strategy, in table
-// order (the paper's two measured plans bracketed by the variants).
+// order: the two plans Sec. 6 measures.
 var strategies = []struct {
 	name  string
 	strat exec.Strategy
 }{
 	{StratDirectNaive, exec.StrategyDirect},
-	{StratDirectNested, exec.StrategyDirectNested},
-	{StratDirectBatch, exec.StrategyDirectBatch},
 	{StratGroupBy, exec.StrategyGroupBy},
-	{StratGroupByReplic, exec.StrategyReplicating},
 }
 
-// RunExperiment executes every strategy for one query. The paper's two
-// measured plans are StratDirectNaive (the naive algebra plan with
+// RunExperiment executes every strategy for one query: the paper's two
+// measured plans, StratDirectNaive (the naive algebra plan with
 // materialized intermediates — the "direct execution of the XQuery as
 // written") and StratGroupBy (the TIMBER groupby plan with identifier
-// processing). The other rows bracket them: a per-binding navigational
-// direct plan, a modern batch direct plan, and the Sec. 5.3
-// replicating-grouping strawman.
+// processing).
 func RunExperiment(db *storage.DB, q *Query) ([]Measurement, error) {
 	var out []Measurement
 	for _, s := range strategies {

@@ -165,7 +165,7 @@ func groupRows(res *Result) []string {
 
 // TestExecuteStrategiesAgree: every strategy the facade accepts
 // produces the logical reference answer as a group multiset (group
-// order is strategy-defined: first-occurrence for direct plans, sorted
+// order is strategy-defined: first-occurrence for the direct plan, sorted
 // by grouping value for groupby plans).
 func TestExecuteStrategiesAgree(t *testing.T) {
 	e := sampleEngine(t, Options{})
@@ -184,8 +184,7 @@ func TestExecuteStrategiesAgree(t *testing.T) {
 	want := groupRows(logical)
 	for _, strat := range []exec.Strategy{
 		exec.StrategyPhysical, exec.StrategyGroupBy, exec.StrategyGroupByMat,
-		exec.StrategyReplicating, exec.StrategyDirect, exec.StrategyDirectNested,
-		exec.StrategyDirectBatch,
+		exec.StrategyDirect,
 	} {
 		res, err := pq.Execute(ctx, ExecOptions{Strategy: strat})
 		if err != nil {
@@ -247,8 +246,8 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	strats := []exec.Strategy{
-		exec.StrategyGroupBy, exec.StrategyDirect, exec.StrategyDirectNested,
-		exec.StrategyDirectBatch, exec.StrategyReplicating, exec.StrategyPhysical,
+		exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect,
+		exec.StrategyPhysical,
 	}
 	baseline := map[exec.Strategy]string{}
 	for _, s := range strats {

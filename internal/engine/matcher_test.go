@@ -153,7 +153,7 @@ func TestExplainReportsMatcher(t *testing.T) {
 }
 
 // TestMatcherPickNeverFarFromBest is the matcher sibling of
-// TestPlannerPickNeverFarFromBest: on a bench-style fixture the
+// TestMatcherPickNeverFarFromBest: on a bench-style fixture the
 // planner-picked matcher must not run slower than 1.5x the best
 // explicit matcher (interleaved min-of-5 wall times to damp scheduler
 // noise, the pick read from the same measurement).

@@ -57,13 +57,6 @@ type Batch struct {
 // overrides it.
 const defaultBatchSize = 256
 
-func newBatch(capacity int) *Batch {
-	if capacity <= 0 {
-		capacity = defaultBatchSize
-	}
-	return &Batch{Rows: make([]Row, 0, capacity)}
-}
-
 // batchPool recycles row slices across operators and exchange
 // fragments. Reuse is strictly capacity-exact: a pooled batch whose
 // slice does not match the requested capacity gets a fresh slice

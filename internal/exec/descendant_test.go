@@ -91,7 +91,7 @@ func TestDescendantAxisAllPlansAgree(t *testing.T) {
 			return false
 		}
 		for _, strat := range []Strategy{
-			StrategyDirect, StrategyDirectNested, StrategyDirectBatch, StrategyGroupBy, StrategyReplicating,
+			StrategyDirect, StrategyGroupBy, StrategyGroupByMat,
 		} {
 			spec := spec
 			spec.Strategy = strat

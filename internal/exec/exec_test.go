@@ -182,69 +182,6 @@ func TestGroupByExecCountIdentifierOnly(t *testing.T) {
 	}
 }
 
-func TestDirectNestedLoopsSample(t *testing.T) {
-	db := sampleDB(t)
-	_, _, spec := plansFor(t, query1Src)
-	res, err := directNestedLoops(db, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First-occurrence order (Jack, John, Jill).
-	if got := rows(res.Trees); !reflect.DeepEqual(got, wantSample) {
-		t.Errorf("direct result = %v, want %v", got, wantSample)
-	}
-	if res.Stats.LocatorProbes == 0 {
-		t.Error("nested-loops plan should navigate via the locator")
-	}
-}
-
-func TestDirectBatchSample(t *testing.T) {
-	db := sampleDB(t)
-	_, _, spec := plansFor(t, query1Src)
-	res, err := directBatch(db, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(res.Trees); !reflect.DeepEqual(got, wantSample) {
-		t.Errorf("batch result = %v, want %v", got, wantSample)
-	}
-}
-
-func TestDirectCountSample(t *testing.T) {
-	db := sampleDB(t)
-	_, _, spec := plansFor(t, queryCountSrc)
-	want := []string{"Jack:2", "John:2", "Jill:1"}
-	nl, err := directNestedLoops(db, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(nl.Trees); !reflect.DeepEqual(got, want) {
-		t.Errorf("nested-loops count = %v, want %v", got, want)
-	}
-	bt, err := directBatch(db, spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rows(bt.Trees); !reflect.DeepEqual(got, want) {
-		t.Errorf("batch count = %v, want %v", got, want)
-	}
-}
-
-func TestDirectNestedLoopsNeedsValueIndex(t *testing.T) {
-	db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 64, NoValueIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
-		t.Fatal(err)
-	}
-	_, _, spec := plansFor(t, query1Src)
-	if _, err := directNestedLoops(db, spec, Options{}); err == nil {
-		t.Error("nested-loops without value index should fail")
-	}
-}
-
 func TestLogicalOracleAgreement(t *testing.T) {
 	db := sampleDB(t)
 	naive, rewritten, spec := plansFor(t, query1Src)
@@ -257,7 +194,7 @@ func TestLogicalOracleAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := directNestedLoops(db, spec, Options{})
+	direct, err := directMaterialized(db, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +250,9 @@ func randomBibDB(t testing.TB, rng *rand.Rand) (*storage.DB, *xmltree.Node) {
 
 // TestAllPlansAgreeProperty is the reproduction's central integration
 // property: on random bibliography databases, all four evaluation
-// strategies — logical naive, logical groupby, physical direct (both
-// variants), physical groupby — return the same result multiset, and
-// the two direct plans match the naive order exactly.
+// strategies — logical naive, logical groupby, physical direct,
+// physical groupby — return the same result multiset, and the direct
+// plan matches the naive order exactly.
 func TestAllPlansAgreeProperty(t *testing.T) {
 	naive, rewritten, spec := plansFor(t, query1Src)
 	naiveC, rewrittenC, specC := plansFor(t, queryCountSrc)
@@ -340,19 +277,7 @@ func TestAllPlansAgreeProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			dnl, err := directNestedLoops(db, tc.spec, Options{})
-			if err != nil {
-				return false
-			}
 			dmt, err := directMaterialized(db, tc.spec, Options{})
-			if err != nil {
-				return false
-			}
-			dbt, err := directBatch(db, tc.spec, Options{})
-			if err != nil {
-				return false
-			}
-			rep, err := groupByReplicating(db, tc.spec, Options{})
 			if err != nil {
 				return false
 			}
@@ -361,16 +286,7 @@ func TestAllPlansAgreeProperty(t *testing.T) {
 				return false
 			}
 			nRows := rows(ln.Trees)
-			if !reflect.DeepEqual(rows(dnl.Trees), nRows) {
-				return false
-			}
 			if !reflect.DeepEqual(rows(dmt.Trees), nRows) {
-				return false
-			}
-			if !reflect.DeepEqual(rows(dbt.Trees), nRows) {
-				return false
-			}
-			if !reflect.DeepEqual(sorted(rows(rep.Trees)), sorted(nRows)) {
 				return false
 			}
 			// Groupby plans (logical and physical) agree with each
@@ -431,11 +347,11 @@ RETURN
 	if got := rows(gb.Trees); !reflect.DeepEqual(got, want) {
 		t.Errorf("groupby institution = %v, want %v", got, want)
 	}
-	dnl, err := directNestedLoops(db, spec, Options{})
+	dm, err := directMaterialized(db, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sorted(rows(dnl.Trees)); !reflect.DeepEqual(got, want) {
+	if got := sorted(rows(dm.Trees)); !reflect.DeepEqual(got, want) {
 		t.Errorf("direct institution = %v, want %v", got, want)
 	}
 	lg, err := ExecLogical(db, rewritten)

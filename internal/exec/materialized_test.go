@@ -82,10 +82,9 @@ RETURN
 // boundary (alongside opt.TestRewriteDuplicateAuthorCaveat): its
 // "duplicate elimination based on articles" is structural, so two
 // char-identical articles by the same author collapse to one in the
-// naive/direct-materialized result, while witness-based plans (the
-// groupby plans, and the ID-based direct baselines) keep both. DBLP has
-// no such duplicates; this test documents the behaviour rather than
-// hiding it.
+// naive/direct-materialized result, while the witness-based groupby
+// plans keep both. DBLP has no such duplicates; this test documents the
+// behaviour rather than hiding it.
 func TestStructuralDedupCaveat(t *testing.T) {
 	db, err := storage.CreateTemp(storage.Options{PageSize: 512, PoolPages: 256})
 	if err != nil {
@@ -168,14 +167,5 @@ func TestExecutorsOnClosedDB(t *testing.T) {
 	}
 	if _, err := directMaterialized(db, spec, Options{}); err == nil {
 		t.Error("DirectMaterialized on closed db should fail")
-	}
-	if _, err := directBatch(db, spec, Options{}); err == nil {
-		t.Error("DirectBatch on closed db should fail")
-	}
-	if _, err := directNestedLoops(db, spec, Options{}); err == nil {
-		t.Error("DirectNestedLoops on closed db should fail")
-	}
-	if _, err := groupByReplicating(db, spec, Options{}); err == nil {
-		t.Error("GroupByReplicating on closed db should fail")
 	}
 }

@@ -158,7 +158,7 @@ func TestOrderByAllPlansAgreeProperty(t *testing.T) {
 			return false
 		}
 		for _, strat := range []Strategy{
-			StrategyDirect, StrategyDirectNested, StrategyDirectBatch, StrategyGroupBy, StrategyReplicating,
+			StrategyDirect, StrategyGroupBy, StrategyGroupByMat,
 		} {
 			spec := spec
 			spec.Strategy = strat

@@ -70,14 +70,6 @@ func orderLess(a, b string, desc bool) bool {
 	return cmp < 0
 }
 
-// sortPostingsByOrder stably sorts member postings by their ordering
-// values.
-func sortPostingsByOrder(members []storage.Posting, ov map[xmltree.NodeID]string, desc bool) {
-	sort.SliceStable(members, func(i, j int) bool {
-		return orderLess(ov[members[i].ID()], ov[members[j].ID()], desc)
-	})
-}
-
 // sortTreesByPathInPlace reorders the member trees (in their slots) by
 // the first value at the member-relative path; trees without a match
 // keep their positions, mirroring plan.SortChildrenByPath.

@@ -1,9 +1,9 @@
 // Package exec implements the physical evaluation plans of Sec. 6 over
 // the storage layer: the "direct" execution of the XQuery as written
-// (a nested-loops plan probing indices per outer binding, plus the
-// batch variant the experiment section describes), and the TIMBER
+// (the naive plan with materialized intermediates), and the TIMBER
 // groupby plan with identifier-only processing and deferred value
-// population (Sec. 5.3).
+// population (Sec. 5.3), plus the materializing groupby executor kept
+// as the streaming pipeline's byte-equality reference.
 //
 // The executors cover the query family the paper evaluates — group a
 // member element (article) by a correlated path value (author, or

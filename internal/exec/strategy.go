@@ -29,15 +29,6 @@ const (
 	// StrategyDirect is the fully materialized direct execution of the
 	// naive plan (Sec. 4.1 / Sec. 6 "direct").
 	StrategyDirect
-	// StrategyDirectNested is the nested-loops direct plan probing the
-	// value index per outer binding.
-	StrategyDirectNested
-	// StrategyDirectBatch is the batch direct variant (index
-	// identification + hash join).
-	StrategyDirectBatch
-	// StrategyReplicating is the early-replication grouping strawman
-	// Sec. 5.3 argues against.
-	StrategyReplicating
 	// StrategyLogical evaluates the logical plan over fully loaded
 	// documents — the reference semantics. It needs the plan itself,
 	// not a Spec, so Run rejects it; the engine facade (or ExecLogical)
@@ -56,15 +47,12 @@ const (
 
 // strategyNames maps each Strategy to its canonical flag spelling.
 var strategyNames = map[Strategy]string{
-	StrategyAuto:         "auto",
-	StrategyGroupBy:      "groupby",
-	StrategyDirect:       "direct",
-	StrategyDirectNested: "direct-nested",
-	StrategyDirectBatch:  "direct-batch",
-	StrategyReplicating:  "replicating",
-	StrategyLogical:      "logical",
-	StrategyPhysical:     "physical",
-	StrategyGroupByMat:   "groupby-mat",
+	StrategyAuto:       "auto",
+	StrategyGroupBy:    "groupby",
+	StrategyDirect:     "direct",
+	StrategyLogical:    "logical",
+	StrategyPhysical:   "physical",
+	StrategyGroupByMat: "groupby-mat",
 }
 
 func (s Strategy) String() string {
@@ -120,12 +108,6 @@ func Run(db storage.Reader, spec Spec, o Options) (*Result, error) {
 		return groupByMaterialized(db, spec, o)
 	case StrategyDirect:
 		return directMaterialized(db, spec, o)
-	case StrategyDirectNested:
-		return directNestedLoops(db, spec, o)
-	case StrategyDirectBatch:
-		return directBatch(db, spec, o)
-	case StrategyReplicating:
-		return groupByReplicating(db, spec, o)
 	case StrategyLogical, StrategyPhysical:
 		return nil, fmt.Errorf("exec: strategy %v evaluates a logical plan, not a Spec; use the engine facade (or ExecLogical/ExecPhysical)", spec.Strategy)
 	default:

@@ -13,7 +13,6 @@ import (
 func TestParseStrategyRoundTrip(t *testing.T) {
 	all := []Strategy{
 		StrategyAuto, StrategyGroupBy, StrategyGroupByMat, StrategyDirect,
-		StrategyDirectNested, StrategyDirectBatch, StrategyReplicating,
 		StrategyLogical, StrategyPhysical,
 	}
 	for _, s := range all {
@@ -41,6 +40,29 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseStrategyOnlySec6Plans: the strategy set is the two plans
+// Sec. 6 measures plus the references and plan-level evaluators; the
+// nested-loops, batch-join and replicating ablations are not
+// strategies, and asking for one names the valid spellings.
+func TestParseStrategyOnlySec6Plans(t *testing.T) {
+	want := []string{"auto", "direct", "groupby", "groupby-mat", "logical", "physical"}
+	if got := StrategyNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("StrategyNames() = %v, want %v", got, want)
+	}
+	for _, name := range []string{"direct-nested", "direct-batch", "replicating"} {
+		_, err := ParseStrategy(name)
+		if err == nil {
+			t.Errorf("ParseStrategy(%q) succeeded, want an error", name)
+			continue
+		}
+		for _, valid := range want {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseStrategy(%q) error %q does not list %q", name, err, valid)
+			}
+		}
+	}
+}
+
 // TestRunDispatchesEveryStrategy: Run on each Spec-level strategy
 // produces the same row multiset as the logical reference, and the
 // zero-value Strategy is the groupby plan.
@@ -53,8 +75,7 @@ func TestRunDispatchesEveryStrategy(t *testing.T) {
 	}
 	want := sorted(rows(ln.Trees))
 	for _, strat := range []Strategy{
-		StrategyGroupBy, StrategyDirect, StrategyDirectNested,
-		StrategyDirectBatch, StrategyReplicating,
+		StrategyGroupBy, StrategyGroupByMat, StrategyDirect,
 	} {
 		spec := spec
 		spec.Strategy = strat
@@ -112,8 +133,7 @@ func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, strat := range []Strategy{
-		StrategyGroupBy, StrategyDirect, StrategyDirectNested,
-		StrategyDirectBatch, StrategyReplicating,
+		StrategyGroupBy, StrategyGroupByMat, StrategyDirect,
 	} {
 		for _, p := range []int{1, 4} {
 			spec := spec

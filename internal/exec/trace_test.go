@@ -35,9 +35,6 @@ func TestTracingPreservesResults(t *testing.T) {
 	}{
 		{"groupby", groupByExec},
 		{"direct-materialized", directMaterialized},
-		{"direct-nested-loops", directNestedLoops},
-		{"direct-batch", directBatch},
-		{"groupby-replicating", groupByReplicating},
 	}
 	for _, src := range []string{query1Src, queryCountSrc} {
 		_, _, spec := plansFor(t, src)

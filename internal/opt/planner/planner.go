@@ -127,8 +127,11 @@ func estimate(cat *stats.Catalog, spec exec.Spec) cardEst {
 	return e
 }
 
-// Choose costs the candidate physical plans for a grouping Spec and
-// returns the cheapest, with per-operator estimates for EXPLAIN. A nil
+// Choose costs the two plans Sec. 6 measures — the streaming groupby
+// plan and the naive direct plan — for a grouping Spec and returns the
+// cheapest, with per-operator estimates for EXPLAIN. The materializing
+// groupby reference is not a candidate: it does the streaming plan's
+// work plus building every intermediate, so it never costs less. A nil
 // or empty catalog yields the streaming groupby default with
 // StatsUsed=false (estimates all zero).
 func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
@@ -157,11 +160,6 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 		costMaterialize*(e.groups+outputLookups) +
 		orderCost
 
-	// Materializing groupby: same index work, but every phase builds a
-	// full intermediate (witness array, value-pair map) before the next
-	// starts.
-	mat := streaming + costMaterialize*(e.witnesses+e.values)
-
 	// Naive direct plan: populate ALL basis values up front (B
 	// look-ups, not W), then navigate per distinct value to build the
 	// product trees — locator probes instead of identifier joins.
@@ -175,8 +173,6 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 	cands := []Candidate{
 		{Strategy: exec.StrategyGroupBy, Cost: streaming,
 			Detail: fmt.Sprintf("scan %.0f + populate %.0f values + sort %.0f rows", e.members+e.joinScan+e.valueScan, e.witnesses, e.merged)},
-		{Strategy: exec.StrategyGroupByMat, Cost: mat,
-			Detail: fmt.Sprintf("streaming cost + materialize %.0f intermediates", e.witnesses+e.values)},
 		{Strategy: exec.StrategyDirect, Cost: direct,
 			Detail: fmt.Sprintf("populate %.0f basis values + navigate %.0f witnesses", e.basis, e.witnesses)},
 	}
@@ -192,12 +188,9 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 		StatsUsed:  true,
 		StatsFresh: cat.Fresh,
 	}
-	switch d.Strategy {
-	case exec.StrategyGroupByMat:
-		d.Operators = materializedOps(spec, e)
-	case exec.StrategyDirect:
+	if d.Strategy == exec.StrategyDirect {
 		d.Operators = directOps(spec, e)
-	default:
+	} else {
 		d.Operators = streamingOps(spec, e)
 	}
 	return d
@@ -205,9 +198,8 @@ func Choose(cat *stats.Catalog, spec exec.Spec) *Decision {
 
 // Describe returns the per-operator estimates for an explicitly
 // requested strategy — EXPLAIN under an override still shows what the
-// planner expects of it. Returns nil for strategies the cost model
-// doesn't cover (nested/batch/replicating variants, plan-level
-// strategies).
+// planner expects of it. Returns nil for the plan-level strategies
+// (logical, physical), which the cost model doesn't cover.
 func Describe(cat *stats.Catalog, spec exec.Spec, strat exec.Strategy) []OpEstimate {
 	var e cardEst
 	if cat != nil && len(cat.Tags) > 0 && cat.TotalNodes > 0 {

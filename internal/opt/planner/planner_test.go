@@ -55,29 +55,19 @@ func TestChooseWithoutStats(t *testing.T) {
 }
 
 // TestChooseCostsAllCandidates: with statistics the decision lists the
-// three costed plans cheapest-first, the chosen strategy is the
-// cheapest, and the headline cardinalities are populated.
+// costed plans cheapest-first, the chosen strategy is the cheapest, and
+// the headline cardinalities are populated.
 func TestChooseCostsAllCandidates(t *testing.T) {
 	d := Choose(dblpCatalog(), e1Spec())
 	if !d.StatsUsed || !d.StatsFresh {
 		t.Errorf("StatsUsed=%v StatsFresh=%v, want both true", d.StatsUsed, d.StatsFresh)
 	}
-	if len(d.Candidates) != 3 {
-		t.Fatalf("candidates = %d, want 3", len(d.Candidates))
-	}
-	seen := map[exec.Strategy]bool{}
 	for i, c := range d.Candidates {
-		seen[c.Strategy] = true
 		if c.Cost <= 0 {
 			t.Errorf("candidate %v cost = %v, want > 0", c.Strategy, c.Cost)
 		}
 		if i > 0 && c.Cost < d.Candidates[i-1].Cost {
 			t.Errorf("candidates not sorted by cost: %+v", d.Candidates)
-		}
-	}
-	for _, s := range []exec.Strategy{exec.StrategyGroupBy, exec.StrategyGroupByMat, exec.StrategyDirect} {
-		if !seen[s] {
-			t.Errorf("candidate %v missing", s)
 		}
 	}
 	if d.Strategy != d.Candidates[0].Strategy {
@@ -99,6 +89,26 @@ func TestChooseCostsAllCandidates(t *testing.T) {
 	}
 	if stream >= direct {
 		t.Errorf("streaming cost %v >= direct cost %v on a groupby-friendly shape", stream, direct)
+	}
+}
+
+// TestChooseCandidatesAreSec6Plans: auto chooses between exactly the
+// two plans Sec. 6 measures, whatever the query shape. The
+// materializing groupby reference only runs on explicit request.
+func TestChooseCandidatesAreSec6Plans(t *testing.T) {
+	count := e1Spec()
+	count.Mode = exec.Count
+	ordered := e1Spec()
+	ordered.OrderPath = exec.ChildPath("title")
+	for _, spec := range []exec.Spec{e1Spec(), count, ordered} {
+		d := Choose(dblpCatalog(), spec)
+		got := map[exec.Strategy]bool{}
+		for _, c := range d.Candidates {
+			got[c.Strategy] = true
+		}
+		if len(d.Candidates) != 2 || !got[exec.StrategyGroupBy] || !got[exec.StrategyDirect] {
+			t.Errorf("%v spec: candidates = %+v, want exactly groupby and direct", spec.Mode, d.Candidates)
+		}
 	}
 }
 
@@ -129,8 +139,9 @@ func TestOperatorEstimates(t *testing.T) {
 	}
 }
 
-// TestDescribeForcedStrategies: Describe covers the costed trio (and
-// auto), returns nil for plans the cost model has no operator map for.
+// TestDescribeForcedStrategies: Describe covers the costed plans, the
+// groupby-mat reference (and auto), and returns nil for plans the cost
+// model has no operator map for.
 func TestDescribeForcedStrategies(t *testing.T) {
 	cat, spec := dblpCatalog(), e1Spec()
 	for _, s := range []exec.Strategy{
@@ -141,7 +152,7 @@ func TestDescribeForcedStrategies(t *testing.T) {
 		}
 	}
 	for _, s := range []exec.Strategy{
-		exec.StrategyDirectNested, exec.StrategyReplicating, exec.StrategyLogical,
+		exec.StrategyLogical, exec.StrategyPhysical,
 	} {
 		if ops := Describe(cat, spec, s); ops != nil {
 			t.Errorf("Describe(%v) = %v, want nil", s, ops)
