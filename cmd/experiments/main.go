@@ -11,14 +11,6 @@
 // nodes) with the paper's 32 MB buffer pool and 8 KB pages. Pass
 // -articles 440000 to approximate the paper's 4.6M-node dataset.
 //
-// -fullfile runs the full-scale compression ladder instead of (or in
-// addition to) the strategy experiments: each -fullarticles scale is
-// built twice — compact+compressed default vs -Uncompressed — and the
-// bytes-on-disk, posting-decode and GROUPBY timings land in the named
-// JSON report (e.g. BENCH_fullscale.json). -exp none skips the
-// strategy tables, so the ladder runs alone. -assertreduction makes
-// the run fail unless the index shrank by the given percentage.
-//
 // -eventsfile measures the event-journal overhead: the same database
 // is built with the journal off and on, E1 runs -eventsreps times on
 // each through the full engine path, and the wall-time medians, delta
@@ -46,8 +38,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"timber/internal/bench"
@@ -63,10 +53,6 @@ func main() {
 	parFile := flag.String("parfile", "", "also sweep E1 groupby over parallelism 1,2,4,8 and write the JSON scaling report here (e.g. BENCH_parallel.json)")
 	traceFile := flag.String("tracefile", "", "run each strategy under a verified per-operator tracer and write the JSON trace report here (e.g. BENCH_traces.json)")
 	streamFile := flag.String("streamfile", "", "compare the streaming iterator executor against the materializing plans (pool fetches + peak heap) and write the JSON report here (e.g. BENCH_streaming.json)")
-	fullFile := flag.String("fullfile", "", "run the full-scale compression ladder (compressed vs uncompressed database per scale) and write the JSON report here (e.g. BENCH_fullscale.json)")
-	fullArticles := flag.String("fullarticles", "44000,440000", "comma-separated article counts for the -fullfile ladder")
-	full10x := flag.Bool("full10x", false, "append the 10x-paper scale (4.4M articles; needs several GB) to the -fullfile ladder")
-	assertReduction := flag.Float64("assertreduction", 0, "fail unless the -fullfile ladder's index bytes-on-disk reduction meets this percentage at every scale (0 = no check)")
 	eventsFile := flag.String("eventsfile", "", "measure the event-journal overhead (E1 wall time with the journal off vs on) and write the JSON report here (e.g. BENCH_events.json)")
 	eventsReps := flag.Int("eventsreps", 5, "timed repetitions per variant in the -eventsfile run")
 	twigFile := flag.String("twigfile", "", "compare the binary and holistic twig matchers on chain/branch patterns and write the JSON report here (e.g. BENCH_twig.json)")
@@ -86,21 +72,10 @@ func main() {
 			}
 		}()
 	}
-	scales, err := parseScales(*fullArticles, *full10x)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
 	if *expSel != "none" || *parFile != "" || *traceFile != "" || *streamFile != "" {
 		// run owns the database lifecycle; the deferred Close runs (and
 		// its error propagates) before any exit here.
 		if err := run(*articles, *poolMB, *expSel, *seed, *parFile, *traceFile, *streamFile, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	if *fullFile != "" {
-		if err := runFullScale(scales, *poolMB, *seed, *fullFile, *assertReduction); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -188,50 +163,6 @@ func runEventsOverhead(articles, reps, poolMB int, seed int64, path string) erro
 		return err
 	}
 	fmt.Println("wrote", path)
-	return nil
-}
-
-// parseScales resolves the -fullarticles list, appending the 10x scale
-// when requested.
-func parseScales(list string, with10x bool) ([]int, error) {
-	var scales []int
-	for _, f := range strings.Split(list, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -fullarticles entry %q", f)
-		}
-		scales = append(scales, n)
-	}
-	if with10x {
-		scales = append(scales, dblpgen.FullPaperScale10x().Articles)
-	}
-	return scales, nil
-}
-
-// runFullScale runs the compression ladder and writes its report.
-func runFullScale(scales []int, poolMB int, seed int64, path string, assertReduction float64) error {
-	fmt.Println("full-scale compression ladder (compressed vs uncompressed):")
-	rep, err := bench.RunFullScale(scales, poolMB, seed, func(format string, args ...any) {
-		fmt.Printf("  "+format+"\n", args...)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FullScaleTable(rep))
-	if err := rep.WriteJSON(path); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	if assertReduction > 0 {
-		if err := rep.AssertIndexReduction(assertReduction); err != nil {
-			return err
-		}
-		fmt.Printf("index reduction floor %.0f%%: ok\n", assertReduction)
-	}
 	return nil
 }
 

@@ -23,7 +23,6 @@ func main() {
 	dbPath := flag.String("db", "timber.db", "database file to create")
 	pageSize := flag.Int("pagesize", 8192, "page size in bytes")
 	poolMB := flag.Int("poolmb", 32, "buffer pool size in MiB")
-	noValueIdx := flag.Bool("novalueindex", false, "skip the (tag, content) value index")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -34,17 +33,16 @@ func main() {
 	// run owns the database lifecycle; os.Exit only happens after its
 	// deferred Close (which persists metadata and dirty pages) has run
 	// and its error has been folded into run's result.
-	if err := run(*dbPath, *pageSize, *poolMB, *noValueIdx, flag.Args()); err != nil {
+	if err := run(*dbPath, *pageSize, *poolMB, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "timber-load:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dbPath string, pageSize, poolMB int, noValueIdx bool, inputs []string) (err error) {
+func run(dbPath string, pageSize, poolMB int, inputs []string) (err error) {
 	db, err := storage.Create(dbPath, storage.Options{
-		PageSize:     pageSize,
-		PoolPages:    poolMB * 1024 * 1024 / pageSize,
-		NoValueIndex: noValueIdx,
+		PageSize:  pageSize,
+		PoolPages: poolMB * 1024 * 1024 / pageSize,
 	})
 	if err != nil {
 		return err

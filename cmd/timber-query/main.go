@@ -270,14 +270,9 @@ func run(dbPath, query, strategy, matcher string, poolMB, parallel int, maxMem i
 	if info, ierr := db.SizeInfo(); ierr == nil {
 		size := fmt.Sprintf("size: %d bytes on disk (%d pages: %d heap, %d index)",
 			info.TotalBytes, info.TotalPages, info.HeapPages, info.IndexPages)
-		if info.Codec != "" {
-			size += fmt.Sprintf("; page codec %s", info.Codec)
-			if st := db.Stats(); st.UncompressedBytes > 0 {
-				size += fmt.Sprintf(", write ratio %.2f", st.CompressionRatio())
-			}
-		}
-		if info.Compact {
-			size += "; compact format v3"
+		size += fmt.Sprintf("; page codec %s", info.Codec)
+		if st := db.Stats(); st.UncompressedBytes > 0 {
+			size += fmt.Sprintf(", write ratio %.2f", st.CompressionRatio())
 		}
 		fmt.Fprintln(os.Stderr, size)
 	}

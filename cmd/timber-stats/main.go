@@ -37,8 +37,7 @@ func run(dbPath string, showTags bool) (err error) {
 	}()
 
 	fmt.Printf("database: %s\n", dbPath)
-	fmt.Printf("pages:    %d (%.1f MiB at 8 KiB)\n", db.NumPages(), float64(db.NumPages())*8/1024)
-	fmt.Printf("value index: %v\n\n", db.HasValueIndex())
+	fmt.Printf("pages:    %d (%.1f MiB at 8 KiB)\n\n", db.NumPages(), float64(db.NumPages())*8/1024)
 
 	docs := db.Documents()
 	fmt.Printf("documents (%d):\n", len(docs))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"sort"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"timber/internal/obs"
 	"timber/internal/pagestore"
 	"timber/internal/storage"
+	"timber/internal/xmltree"
 )
 
 // EventsVariant is one side of the journal-overhead comparison: E1
@@ -155,4 +157,18 @@ func (r *EventsReport) WriteJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// hashTrees fingerprints result trees byte-exactly (serialized form,
+// in order) for result-equality checks.
+func hashTrees(trees []*xmltree.Node) string {
+	h := fnv.New64a()
+	for _, tr := range trees {
+		if err := xmltree.Serialize(h, tr); err != nil {
+			// The fnv writer never fails; a serialize error means a
+			// malformed tree, which the hash mismatch will surface.
+			fmt.Fprintf(h, "!%v", err)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -203,5 +205,58 @@ func TestMatcherPickNeverFarFromBest(t *testing.T) {
 	if float64(picked) > 1.5*float64(bestWall) {
 		t.Errorf("planner picked matcher %v at %v; best runs in %v (> 1.5x; walls %v)",
 			auto.Matcher, picked, bestWall, walls)
+	}
+}
+
+// TestEqualityLiteralAcrossPlans: a WHERE literal answers the same under
+// the physical plan (either matcher) as under the logical reference,
+// whether or not the value index can hold it. Empty contents and
+// contents longer than the indexable bound are never indexed, so the
+// matchers must answer those literals from tag postings plus a
+// residual content check.
+func TestEqualityLiteralAcrossPlans(t *testing.T) {
+	long := strings.Repeat("L", 600)
+	doc := `<doc_root>
+  <article><author>Short</author><title>T1</title></article>
+  <article><author>` + long + `</author><author>Short</author><title>T2</title></article>
+  <article><author></author><title>T3</title></article>
+</doc_root>`
+	db, err := storage.CreateTemp(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if _, err := db.LoadXML("bib.xml", strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	e := New(db, Options{})
+	ctx := context.Background()
+	for _, lit := range []string{"", "Short", long} {
+		pq, err := e.Prepare(fmt.Sprintf(`FOR $a IN distinct-values(document("bib.xml")//author)
+WHERE $a = "%s"
+RETURN <authorpubs>{$a}{FOR $b IN document("bib.xml")//article WHERE $a = $b/author RETURN $b/title}</authorpubs>`, lit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logical, err := pq.Execute(ctx, ExecOptions{Strategy: exec.StrategyLogical})
+		if err != nil {
+			t.Fatalf("literal %d bytes, logical: %v", len(lit), err)
+		}
+		want := groupRows(logical)
+		if len(want) != 1 {
+			t.Fatalf("literal %d bytes: logical produced %d groups, want 1", len(lit), len(want))
+		}
+		for _, strat := range []exec.Strategy{exec.StrategyAuto, exec.StrategyPhysical} {
+			for _, kind := range []match.MatcherKind{match.MatcherBinary, match.MatcherTwig} {
+				res, err := pq.Execute(ctx, ExecOptions{Strategy: strat, Matcher: kind})
+				if err != nil {
+					t.Errorf("literal %d bytes, %v/%v: %v", len(lit), strat, kind, err)
+					continue
+				}
+				if got := groupRows(res); !reflect.DeepEqual(got, want) {
+					t.Errorf("literal %d bytes, %v/%v: groups %v, want %v", len(lit), strat, kind, got, want)
+				}
+			}
+		}
 	}
 }

@@ -316,9 +316,9 @@ func candidates(db storage.Reader, pn *pattern.Node, stats *DBStats) ([]storage.
 	tag := pn.TagConstraint()
 	var posts []storage.Posting
 	var covered []pattern.Predicate // predicates the access path has answered
+	ceq := contentEqOf(pn)
 	switch {
-	case tag != "" && contentEqOf(pn) != nil && db.HasValueIndex():
-		ceq := contentEqOf(pn)
+	case tag != "" && ceq != nil && storage.ValueIndexed(ceq.Value):
 		var err error
 		posts, err = db.ValuePostings(tag, ceq.Value)
 		if err != nil {
@@ -380,7 +380,7 @@ func candidates(db storage.Reader, pn *pattern.Node, stats *DBStats) ([]storage.
 
 func contentEqOf(pn *pattern.Node) *pattern.ContentEq {
 	for _, p := range pn.Preds {
-		if ceq, ok := p.(pattern.ContentEq); ok && len(ceq.Value) > 0 {
+		if ceq, ok := p.(pattern.ContentEq); ok {
 			return &ceq
 		}
 	}

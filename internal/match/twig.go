@@ -255,7 +255,7 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 		tag := pn.TagConstraint()
 		s := &twigStream{db: db, stats: stats}
 		var covered []pattern.Predicate
-		if ceq := contentEqOf(pn); ceq != nil && db.HasValueIndex() {
+		if ceq := contentEqOf(pn); ceq != nil && storage.ValueIndexed(ceq.Value) {
 			posts, err := db.ValuePostings(tag, ceq.Value)
 			if err != nil {
 				m.closeStreams()

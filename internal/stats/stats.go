@@ -105,8 +105,8 @@ func (c *Catalog) AvgFanout(tag string) float64 {
 }
 
 // DistinctValues estimates the number of distinct contents under the
-// tag. When the value index never saw the tag (no value index, or
-// contents beyond the indexable length), it falls back to half the
+// tag. When the value index never saw the tag (its contents are all
+// empty or beyond the indexable length), it falls back to half the
 // posting count — the classic "unknown distinct count" guess.
 func (c *Catalog) DistinctValues(tag string) float64 {
 	t := c.Tag(tag)

@@ -71,7 +71,7 @@ func (sn *Snapshot) GetNodeAt(rid pagestore.RID) (*NodeRecord, error) {
 	var rec *NodeRecord
 	err := sn.heap.View(rid, func(b []byte) error {
 		var err error
-		rec, err = sn.db.decodeNodeRecord(b)
+		rec, err = decodeRecord(b)
 		return err
 	})
 	if err != nil {
@@ -110,21 +110,17 @@ func (db *DB) Content(p Posting) (string, error) {
 // the paper's experiments use ("given a tag, we could efficiently list
 // (by node identifier) all nodes with that tag").
 func (sn *Snapshot) TagPostings(tag string) ([]Posting, error) {
-	prefix := tagPrefix(tag)
+	return scanBlockPostings(sn.tagIdx, tagPrefix(tag))
+}
+
+// scanBlockPostings decodes every posting block under prefix, in key
+// (document) order.
+func scanBlockPostings(t *btree.Tree, prefix []byte) ([]Posting, error) {
 	var out []Posting
 	var inner error
-	err := sn.tagIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		if sn.db.compact {
-			out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-			return inner == nil
-		}
-		p, perr := decodePosting(k[len(prefix):], v)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		out = append(out, p)
-		return true
+	err := t.ScanPrefix(prefix, func(k, v []byte) bool {
+		out, inner = appendBlockPostings(out, k[len(k)-8:], v)
+		return inner == nil
 	})
 	if err != nil {
 		return nil, err
@@ -144,39 +140,19 @@ func (db *DB) TagPostings(tag string) ([]Posting, error) {
 
 // ValuePostings returns the postings of nodes with the given tag whose
 // content equals content exactly, using the value index. It returns an
-// error if the database was created without a value index or the content
-// exceeds the indexable length.
+// error if the content is not indexable (see ValueIndexed).
 func (sn *Snapshot) ValuePostings(tag, content string) ([]Posting, error) {
-	if sn.valIdx == nil {
-		return nil, errors.New("storage: no value index")
+	if !ValueIndexed(content) {
+		return nil, fmt.Errorf("storage: content of %d bytes is not value-indexed (empty, or over %d bytes)", len(content), maxIndexedContent)
 	}
-	if len(content) > maxIndexedContent {
-		return nil, fmt.Errorf("storage: content of %d bytes exceeds indexable length %d", len(content), maxIndexedContent)
-	}
-	prefix := valuePrefix(tag, content)
-	var out []Posting
-	var inner error
-	err := sn.valIdx.ScanPrefix(prefix, func(k, v []byte) bool {
-		if sn.db.compact {
-			out, inner = appendBlockPostings(out, k[len(k)-8:], v)
-			return inner == nil
-		}
-		p, perr := decodePosting(k[len(prefix):], v)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		out = append(out, p)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if inner != nil {
-		return nil, inner
-	}
-	return out, nil
+	return scanBlockPostings(sn.valIdx, valuePrefix(tag, content))
 }
+
+// ValueIndexed reports whether the value index can answer an equality
+// predicate on value. Empty contents and contents longer than the
+// indexable bound are never indexed, so matchers must answer such
+// literals from tag postings plus a residual content check.
+func ValueIndexed(value string) bool { return value != "" && len(value) <= maxIndexedContent }
 
 // ValuePostings is the pin-per-call form of Snapshot.ValuePostings.
 func (db *DB) ValuePostings(tag, content string) ([]Posting, error) {

@@ -38,7 +38,7 @@ func FuzzPostingBlock(f *testing.F) {
 // fast path) never panics, and that the fast path agrees with the full
 // decode whenever both succeed.
 func FuzzRecordCompact(f *testing.F) {
-	f.Add(encodeRecordCompact(&NodeRecord{
+	f.Add(encodeRecord(&NodeRecord{
 		Interval:    xmltree.Interval{Doc: 1, Start: 2, End: 8, Level: 1},
 		ParentStart: 1,
 		Tag:         "article",
@@ -48,15 +48,15 @@ func FuzzRecordCompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rec, err := decodeRecordCompact(b)
-		content, cerr := recordContentCompact(b)
+		rec, err := decodeRecord(b)
+		content, cerr := recordContent(b)
 		if err == nil && cerr == nil && content != rec.Content {
 			t.Fatalf("content fast path %q disagrees with decode %q", content, rec.Content)
 		}
 		if err == nil {
 			// Re-encode must round-trip: the decoder accepts only
 			// canonical field values.
-			got, err2 := decodeRecordCompact(encodeRecordCompact(rec))
+			got, err2 := decodeRecord(encodeRecord(rec))
 			if err2 != nil {
 				t.Fatalf("re-decode failed: %v", err2)
 			}

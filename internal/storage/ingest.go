@@ -138,7 +138,7 @@ type writeHandles struct {
 	catalog *btree.COW
 	locator *btree.COW
 	tagIdx  *btree.COW
-	valIdx  *btree.COW // nil without a value index
+	valIdx  *btree.COW
 	sealed  pagestore.PageID
 	fresh   pagestore.PageID
 }
@@ -162,9 +162,7 @@ func (db *DB) beginTxn() (*writeHandles, error) {
 	h.catalog = db.tree(base.catalog).BeginCOW()
 	h.locator = db.tree(base.locator).BeginCOW()
 	h.tagIdx = db.tree(base.tag).BeginCOW()
-	if base.hasVal {
-		h.valIdx = db.tree(base.val).BeginCOW()
-	}
+	h.valIdx = db.tree(base.val).BeginCOW()
 	return h, nil
 }
 
@@ -179,11 +177,8 @@ func (db *DB) finishTxn(h *writeHandles, mutate func(s *snapState)) *txn {
 		catalog:   h.catalog.Root(),
 		locator:   h.locator.Root(),
 		tag:       h.tagIdx.Root(),
-		hasVal:    base.hasVal,
+		val:       h.valIdx.Root(),
 		nextDocID: base.nextDocID,
-	}
-	if h.valIdx != nil {
-		ns.val = h.valIdx.Root()
 	}
 	mutate(ns)
 
@@ -192,13 +187,11 @@ func (db *DB) finishTxn(h *writeHandles, mutate func(s *snapState)) *txn {
 	t.pages = append(t.pages, h.catalog.Allocated()...)
 	t.pages = append(t.pages, h.locator.Allocated()...)
 	t.pages = append(t.pages, h.tagIdx.Allocated()...)
+	t.pages = append(t.pages, h.valIdx.Allocated()...)
 	t.freed = append(t.freed, h.catalog.Freed()...)
 	t.freed = append(t.freed, h.locator.Freed()...)
 	t.freed = append(t.freed, h.tagIdx.Freed()...)
-	if h.valIdx != nil {
-		t.pages = append(t.pages, h.valIdx.Allocated()...)
-		t.freed = append(t.freed, h.valIdx.Freed()...)
-	}
+	t.freed = append(t.freed, h.valIdx.Freed()...)
 	t.link = &[2]pagestore.PageID{h.sealed, h.fresh}
 	return t
 }
@@ -231,10 +224,7 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 	}
 	delta := newStatsDelta()
 	pairSeen := map[[2]string]bool{}
-	baseVal := (*btree.Tree)(nil)
-	if base.hasVal {
-		baseVal = db.tree(base.val)
-	}
+	baseVal := db.tree(base.val)
 
 	var count uint64
 	var walkErr error
@@ -256,7 +246,7 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 		if maintain {
 			ts := delta.tags[rec.Tag]
 			ts.Postings++
-			if baseVal != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
+			if ValueIndexed(rec.Content) {
 				ts.ValuePostings++
 				pair := [2]string{rec.Tag, rec.Content}
 				if !pairSeen[pair] {
@@ -305,22 +295,19 @@ func (db *DB) buildInsert(name string, root *xmltree.Node) (*txn, DocInfo, error
 // storeNodeCOW writes one node through the transaction's handles —
 // the incremental counterpart of storeNode.
 func (db *DB) storeNodeCOW(h *writeHandles, rec *NodeRecord) error {
-	rid, err := h.heap.Insert(db.encodeNodeRecord(rec))
+	rid, err := h.heap.Insert(encodeRecord(rec))
 	if err != nil {
 		return err
 	}
 	id := rec.ID()
-	indexValue := postingValue(rec.Interval, rid)
-	if db.compact {
-		indexValue = blockValue1(rec.Interval, rid)
-	}
+	indexValue := blockValue1(rec.Interval, rid)
 	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
 		return fmt.Errorf("locator: %w", err)
 	}
 	if err := h.tagIdx.Insert(tagKey(rec.Tag, id), indexValue); err != nil {
 		return fmt.Errorf("tag index: %w", err)
 	}
-	if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
+	if ValueIndexed(rec.Content) {
 		if err := h.valIdx.Insert(valueKey(rec.Tag, rec.Content, id), indexValue); err != nil {
 			return fmt.Errorf("value index: %w", err)
 		}
@@ -357,12 +344,12 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 			return false
 		}
 		if err := heap.View(rid, func(b []byte) error {
-			rec, err := db.decodeNodeRecord(b)
+			rec, err := decodeRecord(b)
 			if err != nil {
 				return err
 			}
 			tags[rec.Tag]++
-			if rec.Content != "" && len(rec.Content) <= maxIndexedContent {
+			if ValueIndexed(rec.Content) {
 				values[[2]string{rec.Tag, rec.Content}]++
 			}
 			return nil
@@ -382,10 +369,7 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 	// Resolve the exact tag/value index keys. Posting blocks never span
 	// documents, so every cell under (prefix, doc) belongs wholly to
 	// this document.
-	tagT, valT := db.tree(base.tag), (*btree.Tree)(nil)
-	if base.hasVal {
-		valT = db.tree(base.val)
-	}
+	tagT, valT := db.tree(base.tag), db.tree(base.val)
 	var tagKeys, valKeys [][]byte
 	for tag := range tags {
 		p := append(tagPrefix(tag), be32(doc)...)
@@ -396,15 +380,13 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 			return nil, err
 		}
 	}
-	if valT != nil {
-		for tv := range values {
-			p := append(valuePrefix(tv[0], tv[1]), be32(doc)...)
-			if err := valT.ScanPrefix(p, func(k, _ []byte) bool {
-				valKeys = append(valKeys, append([]byte(nil), k...))
-				return true
-			}); err != nil {
-				return nil, err
-			}
+	for tv := range values {
+		p := append(valuePrefix(tv[0], tv[1]), be32(doc)...)
+		if err := valT.ScanPrefix(p, func(k, _ []byte) bool {
+			valKeys = append(valKeys, append([]byte(nil), k...))
+			return true
+		}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -427,14 +409,12 @@ func (db *DB) buildDelete(name string) (*txn, error) {
 		for tv, n := range values {
 			ts := delta.tags[tv[0]]
 			ts.ValuePostings += n
-			if valT != nil {
-				elsewhere, perr := treeHasPrefixOutsideDoc(valT, valuePrefix(tv[0], tv[1]), be32(doc))
-				if perr != nil {
-					return nil, perr
-				}
-				if !elsewhere {
-					ts.DistinctValues++
-				}
+			elsewhere, perr := treeHasPrefixOutsideDoc(valT, valuePrefix(tv[0], tv[1]), be32(doc))
+			if perr != nil {
+				return nil, perr
+			}
+			if !elsewhere {
+				ts.DistinctValues++
 			}
 			delta.tags[tv[0]] = ts
 		}
@@ -505,7 +485,7 @@ func (db *DB) commitLocked(t *txn) error {
 		}
 		// The logged metadata's numPages must cover every logged page so
 		// recovery's SetNumPages keeps them.
-		blob := encodeMeta(t.state, db.st.SlotSize(), db.metaFlags(), db.st.NumPages())
+		blob := encodeMeta(t.state, db.st.SlotSize(), db.st.NumPages())
 		if err := db.wal.AppendMeta(blob); err != nil {
 			return err
 		}

@@ -12,11 +12,12 @@ import (
 )
 
 // LoadDocument numbers the tree rooted at root and stores every node:
-// a record in the data heap, a locator entry, a tag-index entry, and
-// (unless disabled) a value-index entry. It returns the new document's
-// ID. Document IDs are assigned sequentially starting at 1. The tree is
-// numbered in place, so the caller can continue to use it with interval
-// operations; the database itself keeps no reference to it.
+// a record in the data heap, a locator entry, a tag-index entry, and a
+// value-index entry for indexable content. It returns the new
+// document's ID. Document IDs are assigned sequentially starting at 1.
+// The tree is numbered in place, so the caller can continue to use it
+// with interval operations; the database itself keeps no reference to
+// it.
 //
 // LoadDocument is the OFFLINE bulk path: it mutates index pages in
 // place (the first document bulk-loads the trees bottom-up, orders of
@@ -44,13 +45,12 @@ func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, erro
 	heap := pagestore.OpenHeapAt(db.st, base.heapFirst, base.heapLast)
 	heap.SetRaw()
 	catalog := db.tree(base.catalog)
-	locator := db.tree(base.locator)
-	tagIdx := db.tree(base.tag)
-	var valIdx *btree.Tree
-	if base.hasVal {
-		valIdx = db.tree(base.val)
+	h := &loadHandles{
+		heap:    heap,
+		locator: db.tree(base.locator),
+		tagIdx:  db.tree(base.tag),
+		valIdx:  db.tree(base.val),
 	}
-	h := &loadHandles{heap: heap, locator: locator, tagIdx: tagIdx, valIdx: valIdx}
 
 	bulk := len(base.docs) == 0
 	var entries *indexEntries
@@ -101,11 +101,8 @@ func (db *DB) LoadDocument(name string, root *xmltree.Node) (xmltree.DocID, erro
 		catalog:   catalog.Root(),
 		locator:   h.locator.Root(),
 		tag:       h.tagIdx.Root(),
-		hasVal:    base.hasVal,
+		val:       h.valIdx.Root(),
 		nextDocID: base.nextDocID + 1,
-	}
-	if h.valIdx != nil {
-		ns.val = h.valIdx.Root()
 	}
 	ns.docs = make([]DocInfo, 0, len(base.docs)+1)
 	ns.docs = append(ns.docs, base.docs...)
@@ -144,33 +141,31 @@ type indexEntries struct {
 // storeNode writes the record to the heap and either queues (bulk) or
 // inserts (incremental) its index entries.
 func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) error {
-	rid, err := h.heap.Insert(db.encodeNodeRecord(rec))
+	rid, err := h.heap.Insert(encodeRecord(rec))
 	if err != nil {
 		return err
 	}
 	id := rec.ID()
-	// Bulk loads always queue the fixed-width v1 value; bulkBuildIndexes
-	// converts the sorted run into posting blocks in one pass. Only the
-	// incremental path writes the final form directly.
-	indexValue := postingValue(rec.Interval, rid)
-	if bulk == nil && db.compact {
-		indexValue = blockValue1(rec.Interval, rid)
-	}
+	indexed := ValueIndexed(rec.Content)
 	if bulk != nil {
+		// Bulk loads queue the fixed-width staging value;
+		// bulkBuildIndexes packs the sorted run into posting blocks.
+		staged := postingValue(rec.Interval, rid)
 		bulk.loc = append(bulk.loc, btree.KV{Key: locatorKey(id), Value: ridValue(rid)})
-		bulk.tag = append(bulk.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: indexValue})
-		if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
-			bulk.val = append(bulk.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: indexValue})
+		bulk.tag = append(bulk.tag, btree.KV{Key: tagKey(rec.Tag, id), Value: staged})
+		if indexed {
+			bulk.val = append(bulk.val, btree.KV{Key: valueKey(rec.Tag, rec.Content, id), Value: staged})
 		}
 		return nil
 	}
+	indexValue := blockValue1(rec.Interval, rid)
 	if err := h.locator.Insert(locatorKey(id), ridValue(rid)); err != nil {
 		return fmt.Errorf("locator: %w", err)
 	}
 	if err := h.tagIdx.Insert(tagKey(rec.Tag, id), indexValue); err != nil {
 		return fmt.Errorf("tag index: %w", err)
 	}
-	if h.valIdx != nil && rec.Content != "" && len(rec.Content) <= maxIndexedContent {
+	if indexed {
 		if err := h.valIdx.Insert(valueKey(rec.Tag, rec.Content, id), indexValue); err != nil {
 			return fmt.Errorf("value index: %w", err)
 		}
@@ -185,19 +180,17 @@ func (db *DB) storeNode(h *loadHandles, rec *NodeRecord, bulk *indexEntries) err
 func (db *DB) bulkBuildIndexes(h *loadHandles, e *indexEntries) error {
 	sortKVs(e.tag)
 	sortKVs(e.val)
-	tag, val := e.tag, e.val
-	var err error
-	if db.compact {
-		// Pack the sorted posting runs into delta/varint blocks. The
-		// locator keeps per-node cells: its values are bare RIDs and its
-		// range scans address individual keys.
-		maxCell := btree.MaxCellFor(db.st.PageSize())
-		if tag, err = blockKVs(tag, maxCell); err != nil {
-			return fmt.Errorf("tag index blocks: %w", err)
-		}
-		if val, err = blockKVs(val, maxCell); err != nil {
-			return fmt.Errorf("value index blocks: %w", err)
-		}
+	// Pack the sorted posting runs into delta/varint blocks. The locator
+	// keeps per-node cells: its values are bare RIDs and its range scans
+	// address individual keys.
+	maxCell := btree.MaxCellFor(db.st.PageSize())
+	tag, err := blockKVs(e.tag, maxCell)
+	if err != nil {
+		return fmt.Errorf("tag index blocks: %w", err)
+	}
+	val, err := blockKVs(e.val, maxCell)
+	if err != nil {
+		return fmt.Errorf("value index blocks: %w", err)
 	}
 	if h.locator, err = btree.BulkLoad(db.st, e.loc); err != nil {
 		return fmt.Errorf("locator bulk load: %w", err)
@@ -207,12 +200,10 @@ func (db *DB) bulkBuildIndexes(h *loadHandles, e *indexEntries) error {
 		return fmt.Errorf("tag index bulk load: %w", err)
 	}
 	h.tagIdx.SetMetrics(&db.idxMetrics)
-	if h.valIdx != nil {
-		if h.valIdx, err = btree.BulkLoad(db.st, val); err != nil {
-			return fmt.Errorf("value index bulk load: %w", err)
-		}
-		h.valIdx.SetMetrics(&db.idxMetrics)
+	if h.valIdx, err = btree.BulkLoad(db.st, val); err != nil {
+		return fmt.Errorf("value index bulk load: %w", err)
 	}
+	h.valIdx.SetMetrics(&db.idxMetrics)
 	return nil
 }
 

@@ -23,34 +23,33 @@ import (
 //	[18:22) catalog B+tree root
 //	[22:26) locator B+tree root
 //	[26:30) tag-index B+tree root
-//	[30]    1 if the value index exists
+//	[30]    1 (the value index is present)
 //	[31:35) value-index B+tree root
 //	[35:39) page size
-//	[39]    flags
+//	[39]    flags (always metaFlags)
 //	[40:44) allocated page count
 //	[44:48) next document ID
 //
 // Page 0 is always written raw (never through the page codec), so the
 // sniffing open path can read the blob with plain offsets before any
-// store exists — the blob itself then says which codec the rest of the
-// file uses.
+// store exists.
 const (
 	metaMagic   = "TIMBERGO"
 	metaVersion = 3
 	metaLen     = 48
 
-	// Meta flags: which optional codecs the file uses. flagCompact
-	// covers the posting-block and varint-record formats; flagPageCodec
-	// records that pages (other than page 0 and raw heaps) are written
-	// through the store's compression codec.
-	metaFlagCompact   = 1 << 0
-	metaFlagPageCodec = 1 << 1
+	// metaFlags is the flags byte of every database: bit 0 marks the
+	// varint record and posting-block codecs, bit 1 the LZ page codec
+	// (index pages go through it; page 0, record heaps and scratch runs
+	// stay raw).
+	metaFlags = 1<<0 | 1<<1
 )
 
 // ErrNeedsRebuild is returned by Open for a database written in an
-// older on-disk format. There is no in-place migration: rebuild the
-// database by reloading its source documents (timber-load, or the
-// generator that produced it).
+// older on-disk format, or in a v3 layout this build no longer reads:
+// any flags byte other than metaFlags, or no value index. There is no
+// in-place migration: rebuild the database by reloading its source
+// documents (timber-load, or the generator that produced it).
 var ErrNeedsRebuild = errors.New("storage: database uses an old on-disk format; rebuild it from the source documents")
 
 // snapState is one immutable published state of the database: the tree
@@ -64,7 +63,6 @@ type snapState struct {
 	catalog   pagestore.PageID
 	locator   pagestore.PageID
 	tag       pagestore.PageID
-	hasVal    bool
 	val       pagestore.PageID
 	nextDocID uint32
 	// docs caches the decoded catalog, sorted by document ID.
@@ -75,11 +73,10 @@ type snapState struct {
 type metaBlob struct {
 	s        snapState // epoch and docs are not persisted
 	pageSize uint32
-	flags    byte
 	numPages uint32
 }
 
-func encodeMeta(s *snapState, pageSize int, flags byte, numPages uint32) []byte {
+func encodeMeta(s *snapState, pageSize int, numPages uint32) []byte {
 	b := make([]byte, metaLen)
 	copy(b[0:8], metaMagic)
 	binary.LittleEndian.PutUint16(b[8:], metaVersion)
@@ -88,12 +85,10 @@ func encodeMeta(s *snapState, pageSize int, flags byte, numPages uint32) []byte 
 	binary.LittleEndian.PutUint32(b[18:], uint32(s.catalog))
 	binary.LittleEndian.PutUint32(b[22:], uint32(s.locator))
 	binary.LittleEndian.PutUint32(b[26:], uint32(s.tag))
-	if s.hasVal {
-		b[30] = 1
-	}
+	b[30] = 1
 	binary.LittleEndian.PutUint32(b[31:], uint32(s.val))
 	binary.LittleEndian.PutUint32(b[35:], uint32(pageSize))
-	b[39] = flags
+	b[39] = metaFlags
 	binary.LittleEndian.PutUint32(b[40:], numPages)
 	binary.LittleEndian.PutUint32(b[44:], s.nextDocID)
 	return b
@@ -113,15 +108,19 @@ func decodeMeta(b []byte) (metaBlob, error) {
 		}
 		return m, fmt.Errorf("storage: unsupported version %d", v)
 	}
+	if b[39] != metaFlags {
+		return m, fmt.Errorf("%w (file has format flags %#x, this build reads %#x)", ErrNeedsRebuild, b[39], metaFlags)
+	}
+	if b[30] != 1 {
+		return m, fmt.Errorf("%w (file has no value index)", ErrNeedsRebuild)
+	}
 	m.s.heapFirst = pagestore.PageID(binary.LittleEndian.Uint32(b[10:]))
 	m.s.heapLast = pagestore.PageID(binary.LittleEndian.Uint32(b[14:]))
 	m.s.catalog = pagestore.PageID(binary.LittleEndian.Uint32(b[18:]))
 	m.s.locator = pagestore.PageID(binary.LittleEndian.Uint32(b[22:]))
 	m.s.tag = pagestore.PageID(binary.LittleEndian.Uint32(b[26:]))
-	m.s.hasVal = b[30] == 1
 	m.s.val = pagestore.PageID(binary.LittleEndian.Uint32(b[31:]))
 	m.pageSize = binary.LittleEndian.Uint32(b[35:])
-	m.flags = b[39]
 	m.numPages = binary.LittleEndian.Uint32(b[40:])
 	m.s.nextDocID = binary.LittleEndian.Uint32(b[44:])
 	if m.pageSize < 64 || m.pageSize > 1<<24 {
@@ -139,9 +138,9 @@ var errMetaTorn = errors.New("storage: metadata page checksum mismatch")
 // sniffMeta reads the checkpointed metadata directly from the file,
 // before any page store exists. Page 0 is written raw with the v3
 // universal slot framing ([flag][clen u32][crc u32][payload]), so the
-// blob is at a fixed offset and self-describes the page size and codec
-// for the store open that follows. Older formats are recognized and
-// reported as ErrNeedsRebuild.
+// blob is at a fixed offset and self-describes the page size for the
+// store open that follows. Older formats are recognized and reported
+// as ErrNeedsRebuild.
 func sniffMeta(f pagestore.File) (metaBlob, error) {
 	var hdr [13]byte
 	if n, err := f.ReadAt(hdr[:], 0); err != nil && n < len(hdr) {

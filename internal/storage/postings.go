@@ -11,18 +11,17 @@ import (
 	"timber/internal/xmltree"
 )
 
-// Posting blocks: the compact (format v2) layout of the tag and value
-// indices. Instead of one B+tree cell per posting — an 8-byte key
-// suffix plus a fixed 12-byte value — key-adjacent postings that share
-// everything but their start number (same tag/content prefix, same
-// document) are packed into one cell, delta-encoded against their
-// predecessor. Postings come out of the tree already sorted by
+// Posting blocks: the cell layout of the tag and value indices. Instead
+// of one B+tree cell per posting — an 8-byte key suffix plus a fixed
+// 12-byte value — key-adjacent postings that share everything but
+// their start number (same tag/content prefix, same document) are
+// packed into one cell, delta-encoded against their predecessor. Postings come out of the tree already sorted by
 // (doc, start), so the deltas are small and varints shrink them to a
 // byte or two each.
 //
 // Block cell layout:
 //
-//	key:   the full v1 key of the block's FIRST posting
+//	key:   the full index key of the block's FIRST posting
 //	       (…prefix…, doc be32, start be32) — prefix scans and seeks
 //	       work unchanged, and doc/start₀ are recovered from the key's
 //	       8-byte suffix instead of being stored again
@@ -162,7 +161,7 @@ func appendBlockPostings(dst []Posting, keySuffix, value []byte) ([]Posting, err
 	return dst, nil
 }
 
-// blockKVs converts sorted v1 index pairs (one 12-byte value per
+// blockKVs converts sorted staged index pairs (one postingValue per
 // posting) into block pairs, greedily packing key-adjacent postings up
 // to blockMaxPostings or the tree's cell budget. The input stays
 // untouched; bulkBuildIndexes feeds the result straight to BulkLoad.

@@ -143,43 +143,23 @@ func TestBlockValue1(t *testing.T) {
 	}
 }
 
+// TestRecordCompactRoundTrip checks the content fast path that late
+// materialization runs per row: it must agree with the full decode,
+// and reject every truncation that cuts into the content.
 func TestRecordCompactRoundTrip(t *testing.T) {
-	recs := []*NodeRecord{
-		{},
-		{
-			Interval:    xmltree.Interval{Doc: 1, Start: 5, End: 9, Level: 2},
-			ParentStart: 4,
-			Tag:         "author",
-			Content:     "E. F. Codd",
-		},
-		{
-			Interval: xmltree.Interval{Doc: 3, Start: 1 << 30, End: 1<<30 + 12, Level: 600},
-			Tag:      "x",
-			Attrs: []xmltree.Attr{
-				{Name: "key", Value: "conf/edbt/2002"},
-				{Name: "empty", Value: ""},
-			},
-		},
-	}
-	for i, r := range recs {
-		got, err := decodeRecordCompact(encodeRecordCompact(r))
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got.Interval != r.Interval || got.ParentStart != r.ParentStart ||
-			got.Tag != r.Tag || got.Content != r.Content || len(got.Attrs) != len(r.Attrs) {
-			t.Errorf("record %d: got %+v want %+v", i, got, r)
-		}
-		content, err := recordContentCompact(encodeRecordCompact(r))
+	for i, r := range recordFixtures() {
+		content, err := recordContent(encodeRecord(r))
 		if err != nil || content != r.Content {
 			t.Errorf("record %d content fast path: %q, %v", i, content, err)
 		}
 	}
-	// Truncations must error.
-	full := encodeRecordCompact(recs[2])
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeRecordCompact(full[:cut]); err == nil {
-			t.Errorf("truncated record (%d/%d) decoded cleanly", cut, len(full))
+	r := &NodeRecord{Interval: xmltree.Interval{Doc: 1, Start: 5, End: 9}, Tag: "author", Content: "E. F. Codd"}
+	full := encodeRecord(r)
+	// The last byte is the attribute count, which the fast path never
+	// reads; every shorter prefix cuts into the header or the content.
+	for cut := 0; cut < len(full)-1; cut++ {
+		if _, err := recordContent(full[:cut]); err == nil {
+			t.Errorf("truncated record (%d/%d) yielded content", cut, len(full))
 		}
 	}
 }

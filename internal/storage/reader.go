@@ -35,12 +35,10 @@ type Reader interface {
 	OpenTagDocCursor(tag string, doc xmltree.DocID) *TagCursor
 	Tags() ([]string, error)
 
-	// Catalog and configuration.
+	// Catalog.
 	Documents() []DocInfo
 	DocumentByName(name string) (DocInfo, bool)
 	CardStats() (*stats.Catalog, error)
-	HasValueIndex() bool
-	Compact() bool
 	Epoch() uint64
 
 	// Scratch space for blocking operators.

@@ -41,114 +41,18 @@ type NodeRecord struct {
 // ID returns the record's node identifier.
 func (r *NodeRecord) ID() xmltree.NodeID { return r.Interval.ID() }
 
-// encodeRecord serializes a node record. Layout (little endian):
-//
-//	doc u32, start u32, end u32, level u16, parentStart u32,
-//	tagLen u16, tag, contentLen u32, content,
-//	nattrs u16, { nameLen u16, name, valLen u32, value }*
-func encodeRecord(r *NodeRecord) []byte {
-	size := 4 + 4 + 4 + 2 + 4 + 2 + len(r.Tag) + 4 + len(r.Content) + 2
-	for _, a := range r.Attrs {
-		size += 2 + len(a.Name) + 4 + len(a.Value)
-	}
-	buf := make([]byte, 0, size)
-	var tmp [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put32(uint32(r.Interval.Doc))
-	put32(r.Interval.Start)
-	put32(r.Interval.End)
-	put16(r.Interval.Level)
-	put32(r.ParentStart)
-	put16(uint16(len(r.Tag)))
-	buf = append(buf, r.Tag...)
-	put32(uint32(len(r.Content)))
-	buf = append(buf, r.Content...)
-	put16(uint16(len(r.Attrs)))
-	for _, a := range r.Attrs {
-		put16(uint16(len(a.Name)))
-		buf = append(buf, a.Name...)
-		put32(uint32(len(a.Value)))
-		buf = append(buf, a.Value...)
-	}
-	return buf
-}
-
 var errCorruptRecord = errors.New("storage: corrupt node record")
 
-// decodeRecord parses a stored node record.
-func decodeRecord(b []byte) (*NodeRecord, error) {
-	r := &NodeRecord{}
-	off := 0
-	need := func(n int) bool { return off+n <= len(b) }
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		return v
-	}
-	get16 := func() uint16 {
-		v := binary.LittleEndian.Uint16(b[off:])
-		off += 2
-		return v
-	}
-	if !need(20) { // fixed header (18 bytes) + tag length (2 bytes)
-		return nil, errCorruptRecord
-	}
-	r.Interval.Doc = xmltree.DocID(get32())
-	r.Interval.Start = get32()
-	r.Interval.End = get32()
-	r.Interval.Level = get16()
-	r.ParentStart = get32()
-	tagLen := int(get16())
-	if !need(tagLen + 4) {
-		return nil, errCorruptRecord
-	}
-	r.Tag = string(b[off : off+tagLen])
-	off += tagLen
-	contentLen := int(get32())
-	if !need(contentLen + 2) {
-		return nil, errCorruptRecord
-	}
-	r.Content = string(b[off : off+contentLen])
-	off += contentLen
-	nattrs := int(get16())
-	for i := 0; i < nattrs; i++ {
-		if !need(2) {
-			return nil, errCorruptRecord
-		}
-		nameLen := int(get16())
-		if !need(nameLen + 4) {
-			return nil, errCorruptRecord
-		}
-		name := string(b[off : off+nameLen])
-		off += nameLen
-		valLen := int(get32())
-		if !need(valLen) {
-			return nil, errCorruptRecord
-		}
-		val := string(b[off : off+valLen])
-		off += valLen
-		r.Attrs = append(r.Attrs, xmltree.Attr{Name: name, Value: val})
-	}
-	return r, nil
-}
-
-// encodeRecordCompact is the format-v2 record layout: the same fields
-// as encodeRecord, but every integer is a varint and the end number is
-// stored as an extent (end − start). Small nodes — the vast majority at
-// DBLP scale, where most elements hold a short string — shrink from an
-// 18-byte fixed header to 5-8 bytes.
+// encodeRecord serializes a node record. Every integer is a varint and
+// the end number is stored as an extent (end − start), which interval
+// numbering keeps non-negative. Small nodes — the vast majority at DBLP
+// scale, where most elements hold a short string — carry a 5-8 byte
+// header.
 //
 //	doc, start, extent, level, parentStart,
 //	tagLen, tag, contentLen, content,
 //	nattrs, { nameLen, name, valLen, value }*   (all lengths uvarint)
-func encodeRecordCompact(r *NodeRecord) []byte {
+func encodeRecord(r *NodeRecord) []byte {
 	size := 16 + len(r.Tag) + len(r.Content)
 	for _, a := range r.Attrs {
 		size += 6 + len(a.Name) + len(a.Value)
@@ -173,10 +77,10 @@ func encodeRecordCompact(r *NodeRecord) []byte {
 	return buf
 }
 
-// decodeRecordCompact parses a format-v2 record. Total on arbitrary
+// decodeRecord parses a stored node record. Total on arbitrary
 // input: every varint and length is bounds-checked against the
 // remaining bytes before use.
-func decodeRecordCompact(b []byte) (*NodeRecord, error) {
+func decodeRecord(b []byte) (*NodeRecord, error) {
 	r := &NodeRecord{}
 	off := 0
 	u := func() (uint64, bool) {
@@ -235,10 +139,10 @@ func decodeRecordCompact(b []byte) (*NodeRecord, error) {
 	return r, nil
 }
 
-// recordContentCompact extracts just the content string from a
-// format-v2 record, skipping the header and tag without materializing
+// recordContent extracts just the content string from a stored
+// record, skipping the header and tag without materializing
 // them — the late-materialization fast path ContentsBatch runs per row.
-func recordContentCompact(b []byte) (string, error) {
+func recordContent(b []byte) (string, error) {
 	off := 0
 	skip := func() bool {
 		_, n := binary.Uvarint(b[off:])
@@ -319,8 +223,7 @@ func tagPrefix(tag string) []byte {
 }
 
 // valueKey is the value-index key: tag, 0x00, content, 0x00, doc, start.
-// Contents longer than maxIndexedContent are not indexed (callers fall
-// back to tag postings plus a record check).
+// Only contents that pass ValueIndexed are indexed.
 func valueKey(tag, content string, id xmltree.NodeID) []byte {
 	k := make([]byte, 0, len(tag)+len(content)+10)
 	k = append(k, tag...)
@@ -344,8 +247,10 @@ func valuePrefix(tag, content string) []byte {
 // maxIndexedContent bounds the content portion of value-index keys.
 const maxIndexedContent = 512
 
-// postingValue encodes the non-key part of an index posting:
+// postingValue encodes a posting's non-key part in the fixed-width
+// staging form the bulk load sorts before packing:
 // end u32, level u16, rid.page u32, rid.slot u16 (little endian).
+// blockKVs consumes it; it never reaches disk.
 func postingValue(iv xmltree.Interval, rid pagestore.RID) []byte {
 	b := make([]byte, 12)
 	binary.LittleEndian.PutUint32(b[0:], iv.End)
@@ -355,8 +260,8 @@ func postingValue(iv xmltree.Interval, rid pagestore.RID) []byte {
 	return b
 }
 
-// decodePosting reassembles a posting from an index key's (doc, start)
-// suffix and the stored value.
+// decodePosting reassembles a staged posting from its key's
+// (doc, start) suffix and its postingValue.
 func decodePosting(keySuffix, value []byte) (Posting, error) {
 	if len(keySuffix) != 8 || len(value) != 12 {
 		return Posting{}, fmt.Errorf("storage: corrupt index posting (key %d, value %d bytes)", len(keySuffix), len(value))

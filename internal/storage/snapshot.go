@@ -30,7 +30,7 @@ type Snapshot struct {
 	catalogT *btree.Tree
 	locator  *btree.Tree
 	tagIdx   *btree.Tree
-	valIdx   *btree.Tree // nil without a value index
+	valIdx   *btree.Tree
 	closed   atomic.Bool
 }
 
@@ -52,9 +52,7 @@ func (db *DB) Snapshot() *Snapshot {
 	sn.catalogT = db.tree(s.catalog)
 	sn.locator = db.tree(s.locator)
 	sn.tagIdx = db.tree(s.tag)
-	if s.hasVal {
-		sn.valIdx = db.tree(s.val)
-	}
+	sn.valIdx = db.tree(s.val)
 	return sn
 }
 
@@ -92,12 +90,6 @@ func (sn *Snapshot) Documents() []DocInfo {
 func (sn *Snapshot) DocumentByName(name string) (DocInfo, bool) {
 	return findDoc(sn.s.docs, name)
 }
-
-// HasValueIndex reports whether the (tag, content) value index exists.
-func (sn *Snapshot) HasValueIndex() bool { return sn.valIdx != nil }
-
-// Compact reports whether the database uses the compact codecs.
-func (sn *Snapshot) Compact() bool { return sn.db.compact }
 
 // NumPages exposes the store's allocated page count.
 func (sn *Snapshot) NumPages() uint32 { return sn.db.st.NumPages() }

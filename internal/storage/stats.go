@@ -134,10 +134,8 @@ func (db *DB) collectCardStats(s *snapState) (*stats.Catalog, error) {
 	cat.Version = statsVersion(s)
 	cat.Documents = uint64(len(s.docs))
 
+	// Each index cell is a posting block led by its posting count.
 	countPostings := func(v []byte) (uint64, error) {
-		if !db.compact {
-			return 1, nil
-		}
 		n, w := binary.Uvarint(v)
 		if w <= 0 || n < 1 {
 			return 0, errCorruptBlock
@@ -187,40 +185,38 @@ func (db *DB) collectCardStats(s *snapState) (*stats.Catalog, error) {
 	}
 	flush()
 
-	if s.hasVal {
-		var vTag, vPair []byte
-		err = db.tree(s.val).ScanPrefix(nil, func(k, v []byte) bool {
-			sep := bytes.IndexByte(k, 0)
-			if sep < 0 || len(k) < sep+9 {
-				inner = fmt.Errorf("storage: malformed value-index key %q", k)
-				return false
-			}
-			// The pair prefix (tag, 0x00, content, 0x00) is everything
-			// before the 8-byte (doc, start) suffix.
-			tag, pair := k[:sep], k[:len(k)-8]
-			n, cerr := countPostings(v)
-			if cerr != nil {
-				inner = cerr
-				return false
-			}
-			if !bytes.Equal(tag, vTag) {
-				vTag = append(vTag[:0], tag...)
-			}
-			ts := cat.Tags[string(vTag)]
-			ts.ValuePostings += n
-			if !bytes.Equal(pair, vPair) {
-				ts.DistinctValues++
-				vPair = append(vPair[:0], pair...)
-			}
-			cat.Tags[string(vTag)] = ts
-			return true
-		})
-		if err == nil {
-			err = inner
+	var vTag, vPair []byte
+	err = db.tree(s.val).ScanPrefix(nil, func(k, v []byte) bool {
+		sep := bytes.IndexByte(k, 0)
+		if sep < 0 || len(k) < sep+9 {
+			inner = fmt.Errorf("storage: malformed value-index key %q", k)
+			return false
 		}
-		if err != nil {
-			return nil, err
+		// The pair prefix (tag, 0x00, content, 0x00) is everything
+		// before the 8-byte (doc, start) suffix.
+		tag, pair := k[:sep], k[:len(k)-8]
+		n, cerr := countPostings(v)
+		if cerr != nil {
+			inner = cerr
+			return false
 		}
+		if !bytes.Equal(tag, vTag) {
+			vTag = append(vTag[:0], tag...)
+		}
+		ts := cat.Tags[string(vTag)]
+		ts.ValuePostings += n
+		if !bytes.Equal(pair, vPair) {
+			ts.DistinctValues++
+			vPair = append(vPair[:0], pair...)
+		}
+		cat.Tags[string(vTag)] = ts
+		return true
+	})
+	if err == nil {
+		err = inner
+	}
+	if err != nil {
+		return nil, err
 	}
 	return cat, nil
 }

@@ -35,8 +35,12 @@ func testDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	recs := []*NodeRecord{
+// recordFixtures covers the record codec's edge shapes: an empty
+// record, attributes (one with an empty value), long content and
+// numbers near the varint width limits.
+func recordFixtures() []*NodeRecord {
+	return []*NodeRecord{
+		{},
 		{
 			Interval:    xmltree.Interval{Doc: 1, Start: 3, End: 8, Level: 2},
 			ParentStart: 2,
@@ -46,8 +50,19 @@ func TestRecordRoundTrip(t *testing.T) {
 		},
 		{Interval: xmltree.Interval{Doc: 9, Start: 1, End: 2}, Tag: "r"},
 		{Interval: xmltree.Interval{Doc: 1, Start: 1, End: 100}, Tag: "x", Content: strings.Repeat("y", 300)},
+		{
+			Interval: xmltree.Interval{Doc: 3, Start: 1 << 30, End: 1<<30 + 12, Level: 600},
+			Tag:      "x",
+			Attrs: []xmltree.Attr{
+				{Name: "key", Value: "conf/edbt/2002"},
+				{Name: "empty", Value: ""},
+			},
+		},
 	}
-	for i, r := range recs {
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	for i, r := range recordFixtures() {
 		got, err := decodeRecord(encodeRecord(r))
 		if err != nil {
 			t.Fatalf("rec %d: %v", i, err)
@@ -68,7 +83,10 @@ func TestRecordDecodeCorrupt(t *testing.T) {
 }
 
 func TestRecordRoundTripProperty(t *testing.T) {
-	prop := func(doc uint32, start, end uint32, level uint16, tag, content string, an, av string) bool {
+	// Interval numbering guarantees End >= Start, and the record stores
+	// the extent End-Start, so the generator draws an extent that fits.
+	prop := func(doc uint32, start, extent uint32, level uint16, tag, content string, an, av string) bool {
+		end := start + uint32(uint64(extent)%(uint64(^uint32(0)-start)+1))
 		r := &NodeRecord{
 			Interval: xmltree.Interval{Doc: xmltree.DocID(doc), Start: start, End: end, Level: level},
 			Tag:      tag, Content: content,
@@ -193,23 +211,8 @@ func TestValuePostings(t *testing.T) {
 	if _, err := db.ValuePostings("author", strings.Repeat("x", maxIndexedContent+1)); err == nil {
 		t.Error("overlong content should be rejected")
 	}
-}
-
-func TestNoValueIndex(t *testing.T) {
-	db := testDB(t, Options{NoValueIndex: true})
-	if _, err := db.LoadDocument("d", paperdata.SampleDatabase()); err != nil {
-		t.Fatal(err)
-	}
-	if db.HasValueIndex() {
-		t.Error("HasValueIndex should be false")
-	}
-	if _, err := db.ValuePostings("author", "Jack"); err == nil {
-		t.Error("ValuePostings without index should fail")
-	}
-	// Tag postings still work.
-	posts, err := db.TagPostings("author")
-	if err != nil || len(posts) != 5 {
-		t.Errorf("TagPostings = %d, %v", len(posts), err)
+	if _, err := db.ValuePostings("author", ""); err == nil {
+		t.Error("empty content should be rejected: it is never indexed")
 	}
 }
 
@@ -438,8 +441,8 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil || len(posts) != 5 {
 		t.Errorf("author postings after reopen = %d, %v", len(posts), err)
 	}
-	if !db2.HasValueIndex() {
-		t.Error("value index flag lost on reopen")
+	if vp, err := db2.ValuePostings("author", "Jack"); err != nil || len(vp) != 2 {
+		t.Errorf("value postings for author=Jack after reopen = %d, %v", len(vp), err)
 	}
 }
 
