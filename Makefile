@@ -98,11 +98,13 @@ wal-check:
 # plan-check gates the cost-based planner: the planner-pick regression
 # (auto must never run slower than 1.5x the best strategy on the bench
 # fixture), the statistics round-trip and incremental-maintenance
-# suites, the auto/explicit byte-identity checks, and the EXPLAIN
-# estimate-vs-actual join — all under the race detector.
+# suites, the auto/explicit byte-identity checks, the EXPLAIN
+# estimate-vs-actual join, and the physical plan's equivalence and
+# fetch-counter suites (value-index semi-join included) — all under
+# the race detector.
 plan-check:
 	$(GO) test -race ./internal/opt/planner/ ./internal/stats/
-	$(GO) test -race -run 'Planner|CardStats|Auto|Explain|ParseStrategy' \
+	$(GO) test -race -run 'Planner|CardStats|Auto|Explain|ParseStrategy|Physical' \
 		./internal/storage/ ./internal/exec/ ./internal/engine/
 
 # events-check gates the event journal and flight recorder: the schema

@@ -10,6 +10,7 @@ import (
 	"timber/internal/exec"
 	"timber/internal/obs"
 	"timber/internal/opt/planner"
+	"timber/internal/plan"
 )
 
 // Explain is the first-class EXPLAIN report: the strategy the planner
@@ -114,6 +115,9 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 		if o.Strategy != exec.StrategyLogical && o.Strategy != exec.StrategyPhysical {
 			x.Note = "grouping idiom not detected; generic physical plan"
 		}
+		if strat == exec.StrategyPhysical && joinsDatabase(pq.Rewritten) {
+			x.Note = strings.TrimPrefix(x.Note+"; value join runs as a value-index semi-join (one value probe per distinct outer value, one match, joined subtrees only)", "; ")
+		}
 		return x
 	}
 	switch strat {
@@ -136,6 +140,23 @@ func (pq *PreparedQuery) Explain(o ExecOptions) *Explain {
 		x.Operators = append(x.Operators, ExplainOp{Op: op.Op, EstRows: op.Rows, ActualRows: -1})
 	}
 	return x
+}
+
+// joinsDatabase reports whether the plan has a value join whose right
+// input is the database — the join ExecPhysical evaluates as a
+// value-index semi-join.
+func joinsDatabase(op plan.Op) bool {
+	if j, ok := op.(*plan.LeftOuterJoin); ok {
+		if _, ok := j.Right.(*plan.DBScan); ok {
+			return true
+		}
+	}
+	for _, in := range op.Inputs() {
+		if joinsDatabase(in) {
+			return true
+		}
+	}
+	return false
 }
 
 // ExplainExecute runs the prepared plan and returns the EXPLAIN report

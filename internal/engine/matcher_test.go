@@ -154,6 +154,31 @@ func TestExplainReportsMatcher(t *testing.T) {
 	}
 }
 
+// TestExplainNotesSemiJoin: EXPLAIN of a plan whose value join reads
+// the database says the join runs as a value-index semi-join; a plan
+// without such a join (or one the grouping rewrite replaced) does not.
+func TestExplainNotesSemiJoin(t *testing.T) {
+	e := sampleEngine(t, Options{})
+	for _, tc := range []struct {
+		query string
+		want  bool
+	}{
+		{`FOR $a IN distinct-values(document("bib.xml")//author) WHERE $a = "Jack"
+RETURN <authorpubs>{$a}{FOR $b IN document("bib.xml")//article WHERE $a = $b/author RETURN $b/title}</authorpubs>`, true},
+		{`FOR $a IN distinct-values(document("bib.xml")//author) RETURN <who>{$a}</who>`, false},
+		{query1, false},
+	} {
+		pq, err := e.Prepare(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := pq.Explain(ExecOptions{})
+		if got := strings.Contains(x.Text(), "value-index semi-join"); got != tc.want {
+			t.Errorf("semi-join note = %v, want %v; EXPLAIN:\n%s", got, tc.want, x.Text())
+		}
+	}
+}
+
 // TestMatcherPickNeverFarFromBest is the matcher sibling of
 // TestMatcherPickNeverFarFromBest: on a bench-style fixture the
 // planner-picked matcher must not run slower than 1.5x the best

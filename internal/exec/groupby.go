@@ -91,7 +91,7 @@ func groupByExec(db storage.Reader, spec Spec, o Options) (*Result, error) {
 	err := gs.Open()
 	sortSp.Add("witnesses", gs.counts.rowsIn)
 	if gs.spool != nil {
-		sortSp.Add("spilled_runs", int64(len(gs.runs)))
+		sortSp.Add("spilled_runs", int64(gs.spilled))
 	}
 	sortSp.End()
 	if err != nil {

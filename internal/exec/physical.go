@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"timber/internal/match"
+	"timber/internal/obs"
 	"timber/internal/par"
 	"timber/internal/pattern"
 	"timber/internal/plan"
@@ -16,24 +18,22 @@ import (
 // index-accelerated leaves: every selection applied directly to the
 // database is answered by the index matcher (Sec. 5.2) and materializes
 // only its witnesses — the bound nodes, plus full subtrees for adorned
-// labels — instead of loading the documents wholesale. The remaining
-// operators then run with the reference semantics over the (much
-// smaller) intermediate collections.
-//
-// Plans that consume the database other than through a leaf selection
-// (the naive plan's join does) fall back to materializing the documents
-// for that leaf, which is correct but unindexed; the specialized
-// Spec executors in this package (dispatched through Run) are the
-// measured physical plans for the paper's query family, while
-// ExecPhysical is the general-purpose path that keeps arbitrary
-// translatable queries off the full-scan route.
+// labels — and the naive plan's value join against the database runs
+// as a value-index semi-join (see semiJoin) that fetches only the right
+// witnesses some left tree joins with. No document is loaded wholesale;
+// the remaining operators then run with the reference semantics over
+// the (much smaller) intermediate collections. The specialized Spec
+// executors in this package (dispatched through Run) are the measured
+// physical plans for the paper's query family; ExecPhysical is the
+// general-purpose path for every other translatable query.
 //
 // Options carries the run-time knobs: o.Parallelism bounds the
-// index-matching and witness-materialization pools (results are
-// identical for any setting), o.Tracer records per-phase spans (each
-// indexed leaf selection gets a pattern-match span and a witness-
-// materialization span, the residual logical evaluation its own), and
-// o.Ctx cancels the run between leaves and inside the match/
+// index-matching and materialization pools (results and fetch counts
+// are identical for any setting), o.Tracer records per-phase spans
+// (each indexed leaf selection gets a pattern-match span and a witness-
+// materialization span, each join a semi-join span around its own
+// match and materialization, the residual logical evaluation its own),
+// and o.Ctx cancels the run between leaves and inside the match/
 // materialization pools.
 func ExecPhysical(db storage.Reader, op plan.Op, o Options) (tax.Collection, error) {
 	o, fold := o.foldSpans("exec: physical")
@@ -52,10 +52,11 @@ func ExecPhysical(db storage.Reader, op plan.Op, o Options) (tax.Collection, err
 	return plan.Eval(tax.Collection{}, rewritten)
 }
 
-// substituteLeaves replaces Select-over-DBScan nodes with Literal
-// collections computed from the indices, and any remaining DBScan with
-// the materialized documents. Shared sub-plans (the rewrite's common
-// GroupBy) stay shared: substitution is memoized per input operator.
+// substituteLeaves replaces Select-over-DBScan nodes and value joins
+// against the database with Literal collections computed from the
+// indices. Shared sub-plans (the rewrite's common GroupBy, the naive
+// plan's join feeding several RETURN arguments) stay shared and are
+// evaluated once: substitution is memoized per input operator.
 func substituteLeaves(db storage.Reader, op plan.Op, o Options) (plan.Op, error) {
 	return (&substituter{db: db, o: o, memo: map[plan.Op]plan.Op{}}).sub(op)
 }
@@ -95,13 +96,9 @@ func (s *substituter) subUncached(op plan.Op) (plan.Op, error) {
 		}
 		return &plan.Select{In: in, Pattern: o.Pattern, SL: o.SL}, nil
 	case *plan.DBScan:
-		scanSp := s.o.Tracer.Start("scan: full database")
-		c, err := LoadCollection(db)
-		scanSp.End()
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Literal{C: c}, nil
+		// Translated and rewritten plans read the database only through
+		// selections and value joins; ExecLogical is the full-load path.
+		return nil, fmt.Errorf("exec: physical evaluation reads the database only through a selection or a value join, not a bare DBScan")
 	case *plan.Project:
 		return s.rebuild1(o.In, func(in plan.Op) plan.Op {
 			return &plan.Project{In: in, Pattern: o.Pattern, PL: o.PL}
@@ -135,6 +132,9 @@ func (s *substituter) subUncached(op plan.Op) (plan.Op, error) {
 			return &plan.Rename{In: in, NewTag: o.NewTag}
 		})
 	case *plan.LeftOuterJoin:
+		if _, ok := o.Right.(*plan.DBScan); ok {
+			return s.semiJoin(o)
+		}
 		left, err := s.sub(o.Left)
 		if err != nil {
 			return nil, err
@@ -167,6 +167,110 @@ func (s *substituter) rebuild1(in plan.Op, mk func(plan.Op) plan.Op) (plan.Op, e
 		return nil, err
 	}
 	return mk(sub), nil
+}
+
+// semiJoin evaluates LeftOuterJoin(left, DBScan) as a value-index
+// semi-join. The substituted left input is evaluated once and its
+// distinct join values, in first-appearance order, pin the right
+// pattern's join node (pattern.ContentIn): one index match then finds
+// exactly the right witnesses some left tree joins with — one
+// value-index probe per value, never one match per value. Only their
+// SL subtrees are materialized, and tax.JoinLeft builds the product
+// trees with the reference join's own left loop, so the output is
+// byte-identical to tax.LeftOuterJoin over the loaded documents. A left
+// input without join values does no right-side work at all.
+func (s *substituter) semiJoin(j *plan.LeftOuterJoin) (plan.Op, error) {
+	left, err := s.sub(j.Left)
+	if err != nil {
+		return nil, err
+	}
+	leftC, err := plan.Eval(tax.Collection{}, left)
+	if err != nil {
+		return nil, err
+	}
+	sp := s.o.Tracer.Start("join: value-index semi-join")
+	defer sp.End()
+	vals := tax.JoinValues(leftC, j.Spec)
+	distinct := pattern.NewContentIn(slices.Concat(vals...))
+	sp.Add("left_values", int64(len(distinct.Values())))
+	var hits map[string][]*tax.JoinHit
+	if len(distinct.Values()) > 0 {
+		hits, err = indexJoinHits(s.db, j.Spec, distinct, s.o, sp)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &plan.Literal{C: tax.JoinLeft(leftC, vals, hits)}, nil
+}
+
+// indexJoinHits computes the join's right hits from the indices: one
+// match of the right pattern with the join node restricted to in, then
+// one GetSubtree per distinct SL node (deduplicated before the worker
+// pool, so fetch counts do not depend on parallelism). Hits come back
+// grouped by join value in witness order — MatchKindObs returns the
+// bindings in the order match.Match gives over the loaded documents.
+func indexJoinHits(db storage.Reader, spec tax.JoinSpec, in pattern.ContentIn, o Options, sp *obs.Span) (map[string][]*tax.JoinHit, error) {
+	pt := spec.RightPattern.Clone()
+	jn := pt.NodeByLabel(spec.RightLabel)
+	jn.Preds = append(jn.Preds, in)
+	matchSp := sp.Child("match: pattern")
+	bindings, st, err := match.MatchKindObs(o.Ctx, db, pt, o.Matcher, o.Parallelism, matchSp)
+	matchSp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp.Add("probes", int64(st.ValueProbes))
+	sp.Add("witnesses", int64(len(bindings)))
+	if len(bindings) == 0 {
+		return nil, nil
+	}
+
+	matSp := sp.Child("materialize: subtrees")
+	defer matSp.End()
+	slot := map[xmltree.NodeID]int{}
+	var ids []xmltree.NodeID
+	for _, b := range bindings {
+		for _, it := range spec.SL {
+			if p, ok := b[it.Label]; ok {
+				if _, dup := slot[p.ID()]; !dup {
+					slot[p.ID()] = len(ids)
+					ids = append(ids, p.ID())
+				}
+			}
+		}
+	}
+	trees := make([]*xmltree.Node, len(ids))
+	if err := par.Do(o.Ctx, len(ids), o.workers(), func(i int) error {
+		t, err := db.GetSubtree(ids[i])
+		trees[i] = t
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	matSp.Add("subtrees", int64(len(ids)))
+	sp.Add("subtrees", int64(len(ids)))
+
+	// The join node's content is its hit's value: read them in one batch
+	// (postings on one heap page share a fetch).
+	jps := make([]storage.Posting, len(bindings))
+	for i, b := range bindings {
+		jps[i] = b[spec.RightLabel]
+	}
+	values := make([]string, len(bindings))
+	if err := db.ContentsBatch(jps, values); err != nil {
+		return nil, err
+	}
+	byValue := map[string][]*tax.JoinHit{}
+	for i, b := range bindings {
+		hit := &tax.JoinHit{}
+		for _, it := range spec.SL {
+			if p, ok := b[it.Label]; ok {
+				hit.Trees = append(hit.Trees, trees[slot[p.ID()]])
+			}
+		}
+		byValue[values[i]] = append(byValue[values[i]], hit)
+	}
+	return byValue, nil
 }
 
 // physSelect evaluates a selection against the stored database: the

@@ -20,11 +20,12 @@ import (
 // buffers are sorted and spilled as encoded-row runs through the
 // storage spool — the spilled pages compete with base data in the
 // buffer pool, the TIMBER intermediate-collection cost model — and
-// Next serves a k-way merge over the runs. Each run's cursor pins one
-// pool frame for the duration of the merge, so the budget should be
-// sized to keep the run count well below the pool size. Either path emits the
-// byte-identical row order: the comparator is a total order (arrival
-// breaks every tie).
+// Next serves a k-way merge over the runs. Each open run cursor pins
+// one pool frame, so no merge reads more runs than the spool's fan-in
+// (half a pool shard): more runs are first merged, fan-in at a time,
+// into new runs. Every path emits the byte-identical row order: the
+// comparator is a total order (arrival breaks every tie), so how runs
+// are grouped into merges cannot change it.
 type groupSortIter struct {
 	child   Iterator
 	db      storage.Reader
@@ -39,9 +40,8 @@ type groupSortIter struct {
 	// spill state
 	spool   *storage.Spool
 	runs    []*storage.SpoolRun
-	cursors []*pagestore.HeapCursor
-	heads   []Row
-	headOk  []bool
+	spilled int       // runs the input spilled, before any cascade pass
+	merge   *runMerge // final merge over runs; the in-memory tail joins in Next
 	// in-memory serve state
 	pos  int
 	next int64 // arrival counter
@@ -129,56 +129,67 @@ func (g *groupSortIter) spillRun() error {
 		}
 	}
 	g.runs = append(g.runs, run)
+	g.spilled++
 	g.buf = g.buf[:0]
 	return nil
 }
 
-// openMerge opens a cursor per spilled run and primes the merge heads.
-// The in-memory tail (already sorted) merges as run index len(runs).
+// openMerge prepares the final merge: cascade passes first bring the
+// run count within the spool's fan-in, then one cursor per remaining
+// run. The in-memory tail (already sorted) merges in Next.
 func (g *groupSortIter) openMerge() error {
-	k := len(g.runs)
-	g.cursors = make([]*pagestore.HeapCursor, k)
-	g.heads = make([]Row, k+1)
-	g.headOk = make([]bool, k+1)
-	for i, run := range g.runs {
-		g.cursors[i] = run.Open()
-		if err := g.advanceRun(i); err != nil {
+	fanIn := g.spool.MergeFanIn()
+	for len(g.runs) > fanIn {
+		out, err := g.spool.NewRun()
+		if err != nil {
+			return err
+		}
+		if err := g.mergeInto(g.runs[:fanIn], out); err != nil {
+			return err
+		}
+		g.runs = append(g.runs[fanIn:len(g.runs):len(g.runs)], out)
+	}
+	m, err := openRunMerge(g.runs)
+	g.merge = m
+	return err
+}
+
+// mergeInto merges runs into out and frees them.
+func (g *groupSortIter) mergeInto(runs []*storage.SpoolRun, out *storage.SpoolRun) error {
+	m, err := openRunMerge(runs)
+	if err != nil {
+		m.close()
+		return err
+	}
+	for {
+		i := m.min(g.less)
+		if i < 0 {
+			break
+		}
+		g.enc = encodeRow(g.enc[:0], m.heads[i])
+		if err := out.Append(g.enc); err != nil {
+			m.close()
+			return err
+		}
+		if err := m.advance(i); err != nil {
+			m.close()
 			return err
 		}
 	}
-	return g.advanceRun(k)
-}
-
-// advanceRun refills the merge head for run i (the last index is the
-// in-memory tail).
-func (g *groupSortIter) advanceRun(i int) error {
-	if i == len(g.runs) {
-		if g.pos < len(g.buf) {
-			g.heads[i] = g.buf[g.pos]
-			g.pos++
-			g.headOk[i] = true
-		} else {
-			g.headOk[i] = false
-		}
-		return nil
-	}
-	rec, ok := g.cursors[i].Next()
-	if !ok {
-		g.headOk[i] = false
-		return g.cursors[i].Err()
-	}
-	r, err := decodeRow(rec)
-	if err != nil {
+	if err := m.close(); err != nil {
 		return err
 	}
-	g.heads[i] = r
-	g.headOk[i] = true
+	for _, r := range runs {
+		if err := r.Free(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 func (g *groupSortIter) Next(b *Batch) error {
 	b.Reset()
-	if len(g.runs) == 0 {
+	if g.merge == nil {
 		n := len(g.buf) - g.pos
 		if room := cap(b.Rows) - len(b.Rows); n > room {
 			n = room
@@ -187,20 +198,18 @@ func (g *groupSortIter) Next(b *Batch) error {
 		g.pos += n
 	} else {
 		for !b.full() {
-			best := -1
-			for i := range g.heads {
-				if !g.headOk[i] {
-					continue
-				}
-				if best < 0 || g.less(&g.heads[i], &g.heads[best]) {
-					best = i
-				}
-			}
-			if best < 0 {
+			i := g.merge.min(g.less)
+			tail := g.pos < len(g.buf)
+			if i < 0 && !tail {
 				break
 			}
-			b.Rows = append(b.Rows, g.heads[best])
-			if err := g.advanceRun(best); err != nil {
+			if i < 0 || tail && g.less(&g.buf[g.pos], &g.merge.heads[i]) {
+				b.Rows = append(b.Rows, g.buf[g.pos])
+				g.pos++
+				continue
+			}
+			b.Rows = append(b.Rows, g.merge.heads[i])
+			if err := g.merge.advance(i); err != nil {
 				return err
 			}
 		}
@@ -214,7 +223,77 @@ func (g *groupSortIter) Next(b *Batch) error {
 
 func (g *groupSortIter) Close() error {
 	err := g.child.Close()
-	for _, c := range g.cursors {
+	if g.merge != nil {
+		if cerr := g.merge.close(); err == nil {
+			err = cerr
+		}
+		g.merge = nil
+	}
+	if g.spool != nil {
+		if serr := g.spool.Close(); err == nil {
+			err = serr
+		}
+		g.spool = nil
+	}
+	return err
+}
+
+// runMerge is a k-way merge over sorted spool runs: one open cursor —
+// one pinned frame — and one head row per run.
+type runMerge struct {
+	cursors []*pagestore.HeapCursor
+	heads   []Row
+	ok      []bool
+}
+
+// openRunMerge opens a cursor per run and primes the heads. On error
+// the returned merge still holds the cursors opened so far; close it.
+func openRunMerge(runs []*storage.SpoolRun) (*runMerge, error) {
+	m := &runMerge{
+		cursors: make([]*pagestore.HeapCursor, len(runs)),
+		heads:   make([]Row, len(runs)),
+		ok:      make([]bool, len(runs)),
+	}
+	for i, run := range runs {
+		m.cursors[i] = run.Open()
+		if err := m.advance(i); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
+}
+
+// advance refills run i's head.
+func (m *runMerge) advance(i int) error {
+	rec, ok := m.cursors[i].Next()
+	if !ok {
+		m.ok[i] = false
+		return m.cursors[i].Err()
+	}
+	r, err := decodeRow(rec)
+	if err != nil {
+		return err
+	}
+	m.heads[i], m.ok[i] = r, true
+	return nil
+}
+
+// min returns the run whose head sorts first, or -1 when every run is
+// exhausted.
+func (m *runMerge) min(less func(a, b *Row) bool) int {
+	best := -1
+	for i := range m.heads {
+		if m.ok[i] && (best < 0 || less(&m.heads[i], &m.heads[best])) {
+			best = i
+		}
+	}
+	return best
+}
+
+// close closes every cursor, returning the first error.
+func (m *runMerge) close() error {
+	var err error
+	for _, c := range m.cursors {
 		if c == nil {
 			continue
 		}
@@ -222,12 +301,6 @@ func (g *groupSortIter) Close() error {
 			err = cerr
 		}
 	}
-	g.cursors = nil
-	if g.spool != nil {
-		if serr := g.spool.Close(); err == nil {
-			err = serr
-		}
-		g.spool = nil
-	}
+	m.cursors = nil
 	return err
 }

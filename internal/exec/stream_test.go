@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"timber/internal/dblpgen"
@@ -150,6 +151,57 @@ func TestStreamingSpillEquivalence(t *testing.T) {
 		if inMem.Stats != want.Stats || spilled.Stats != want.Stats {
 			t.Errorf("%s: stats diverge: mat=%+v mem=%+v spill=%+v", q.name, want.Stats, inMem.Stats, spilled.Stats)
 		}
+	}
+}
+
+// TestStreamingSpillCascade: a sort budget that spills more runs than
+// the 32-frame pool has frames must still merge — the sort cascades
+// runs so no merge pins more frames than a pool shard holds — with
+// trees and ExecStats identical to the unspilled sort, every temporary
+// page returned, no spool run leaked and no frame left pinned.
+func TestStreamingSpillCascade(t *testing.T) {
+	db, err := storage.CreateTemp(storage.Options{PageSize: 4096, PoolPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	// The sort drains its input in 256-row batches and spills at batch
+	// boundaries: about 9,600 author-article rows yield 37 runs.
+	root, _ := dblpgen.Generate(dblpgen.Config{Articles: 4000, Seed: 2002})
+	if _, err := db.LoadDocument("bib.xml", root); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range streamCorpus {
+		_, _, spec := plansFor(t, q.src)
+		want, err := groupByExec(db, spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, runs := db.NumPages(), db.IngestCounters().SpoolRuns
+		got, err := groupByExec(db, spec, Options{SortMemRows: 4, BatchSize: 16})
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if n := db.IngestCounters().SpoolRuns - runs; n <= 32 {
+			t.Fatalf("%s: %d spilled runs, want more than the pool's 32 frames", q.name, n)
+		}
+		if after := db.NumPages(); after != before {
+			t.Errorf("%s: spill leaked pages: %d -> %d", q.name, before, after)
+		}
+		if serializeTrees(got.Trees) != serializeTrees(want.Trees) {
+			t.Errorf("%s: cascaded spill differs from the in-memory sort", q.name)
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("%s: stats = %+v, want %+v", q.name, got.Stats, want.Stats)
+		}
+	}
+	runtime.GC()
+	if n := db.IngestCounters().SpoolRunsLeaked; n != 0 {
+		t.Errorf("spool_runs_leaked = %d", n)
+	}
+	// Close fails while any frame is still pinned.
+	if err := db.Close(); err != nil {
+		t.Errorf("close after the spills: %v", err)
 	}
 }
 

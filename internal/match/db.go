@@ -29,6 +29,9 @@ type DBStats struct {
 	RecordFilterFetches int
 	// Witnesses is the number of bindings produced.
 	Witnesses int
+	// ValueProbes counts value-index probes: one per content the
+	// pattern pins a tagged node to (see valueProbe).
+	ValueProbes int
 	// JoinOrder lists the pattern labels in the order the
 	// structural-join edges were resolved: the root first, then each
 	// joined node, smallest candidate list first among the nodes whose
@@ -316,15 +319,15 @@ func candidates(db storage.Reader, pn *pattern.Node, stats *DBStats) ([]storage.
 	tag := pn.TagConstraint()
 	var posts []storage.Posting
 	var covered []pattern.Predicate // predicates the access path has answered
-	ceq := contentEqOf(pn)
+	values, vpred, probe := valueProbe(pn)
 	switch {
-	case tag != "" && ceq != nil && storage.ValueIndexed(ceq.Value):
+	case tag != "" && probe:
 		var err error
-		posts, err = db.ValuePostings(tag, ceq.Value)
+		posts, err = valuePostings(db, tag, values, stats)
 		if err != nil {
 			return nil, err
 		}
-		covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, *ceq}
+		covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, vpred}
 	case tag != "":
 		var err error
 		posts, err = db.TagPostings(tag)
@@ -378,13 +381,49 @@ func candidates(db storage.Reader, pn *pattern.Node, stats *DBStats) ([]storage.
 	return filtered, nil
 }
 
-func contentEqOf(pn *pattern.Node) *pattern.ContentEq {
+// valueProbe reports the contents a value-index probe must cover to
+// answer pn's first content predicate: the literal of a ContentEq or
+// the members of a ContentIn, together with that predicate. ok is
+// false when pn has neither, or when some value is not value-indexed
+// (empty, or over the indexable length); tag postings plus a residual
+// content check answer those.
+func valueProbe(pn *pattern.Node) (values []string, pred pattern.Predicate, ok bool) {
 	for _, p := range pn.Preds {
-		if ceq, ok := p.(pattern.ContentEq); ok {
-			return &ceq
+		switch q := p.(type) {
+		case pattern.ContentEq:
+			values = []string{q.Value}
+		case pattern.ContentIn:
+			values = q.Values()
+		default:
+			continue
 		}
+		for _, v := range values {
+			if !storage.ValueIndexed(v) {
+				return nil, nil, false
+			}
+		}
+		return values, p, true
 	}
-	return nil
+	return nil, nil, false
+}
+
+// valuePostings probes the value index once per value and merges the
+// lists into node-ID order. A node has one content, so the lists are
+// disjoint and the merge is their sorted union.
+func valuePostings(db storage.Reader, tag string, values []string, stats *DBStats) ([]storage.Posting, error) {
+	var posts []storage.Posting
+	for _, v := range values {
+		ps, err := db.ValuePostings(tag, v)
+		if err != nil {
+			return nil, err
+		}
+		stats.ValueProbes++
+		posts = append(posts, ps...)
+	}
+	if len(values) > 1 {
+		sort.Slice(posts, func(i, j int) bool { return posts[i].ID().Less(posts[j].ID()) })
+	}
+	return posts, nil
 }
 
 func remaining(all, covered []pattern.Predicate) []pattern.Predicate {

@@ -187,6 +187,60 @@ func TestMatchDBValueIndexPath(t *testing.T) {
 	}
 }
 
+// TestMatchDBContentIn: a content-set predicate is answered from the
+// value index — one probe per member, no record fetch — when every
+// member is indexable, and from the tag postings plus a residual check
+// when one is not (the empty string); either way both matchers return
+// exactly the in-memory reference's witnesses, in its order.
+func TestMatchDBContentIn(t *testing.T) {
+	db := newTestDB(t)
+	docs := []*xmltree.Node{paperdata.SampleDatabase(), paperdata.SampleDatabase()}
+	docs[1].Append(xmltree.E("article", xmltree.Elem("author", "")))
+	for i, d := range docs {
+		if _, err := db.LoadDocument(fmt.Sprintf("bib%d", i), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		values []string
+		probes int
+	}{
+		{[]string{"Jill", "Jack"}, 2},
+		{[]string{"Jack", "Nobody"}, 2},
+		{[]string{"Jack", ""}, 0},
+	} {
+		pr := pattern.NewNode("$1", pattern.TagEq{Tag: "doc_root"})
+		art := pr.AddChild(pattern.Descendant, pattern.NewNode("$2", pattern.TagEq{Tag: "article"}))
+		art.AddChild(pattern.Child, pattern.NewNode("$3",
+			pattern.TagEq{Tag: "author"}, pattern.NewContentIn(tc.values)))
+		pt := pattern.MustTree(pr)
+		want := Match(pt, docs) // LoadDocument numbered docs in place
+		for _, kind := range []MatcherKind{MatcherBinary, MatcherTwig} {
+			ws, st, err := MatchKindObs(nil, db, pt, kind, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ValueProbes != tc.probes {
+				t.Errorf("%v %v: %d value probes, want %d", tc.values, kind, st.ValueProbes, tc.probes)
+			}
+			if tc.probes > 0 && st.RecordFilterFetches != 0 {
+				t.Errorf("%v %v: value-index path fetched %d records", tc.values, kind, st.RecordFilterFetches)
+			}
+			if len(ws) != len(want) {
+				t.Fatalf("%v %v: %d witnesses, want %d", tc.values, kind, len(ws), len(want))
+			}
+			for i := range ws {
+				for _, l := range pt.Labels() {
+					if ws[i][l].ID() != want[i][l].Interval.ID() {
+						t.Fatalf("%v %v: witness %d label %s = %v, want %v",
+							tc.values, kind, i, l, ws[i][l].ID(), want[i][l].Interval.ID())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatchDBFullScanFallback(t *testing.T) {
 	db := newTestDB(t)
 	root := paperdata.SampleDatabase()

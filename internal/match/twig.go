@@ -255,8 +255,8 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 		tag := pn.TagConstraint()
 		s := &twigStream{db: db, stats: stats}
 		var covered []pattern.Predicate
-		if ceq := contentEqOf(pn); ceq != nil && storage.ValueIndexed(ceq.Value) {
-			posts, err := db.ValuePostings(tag, ceq.Value)
+		if values, vpred, ok := valueProbe(pn); ok {
+			posts, err := valuePostings(db, tag, values, stats)
 			if err != nil {
 				m.closeStreams()
 				release()
@@ -264,7 +264,7 @@ func openTwig(db storage.Reader, pt *pattern.Tree) (*twigMatcher, error) {
 			}
 			s.posts = posts
 			stats.PostingsScanned += len(posts)
-			covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, *ceq}
+			covered = []pattern.Predicate{pattern.TagEq{Tag: tag}, vpred}
 		} else {
 			s.cur = db.OpenTagCursor(tag)
 			covered = []pattern.Predicate{pattern.TagEq{Tag: tag}}

@@ -488,6 +488,11 @@ func (s *Store) rawPage(id PageID) bool {
 // PoolPages returns the buffer pool capacity in pages.
 func (s *Store) PoolPages() int { return s.opts.PoolPages }
 
+// ShardFrames returns the smallest shard's frame count: any set of
+// that many concurrently pinned pages fits in the pool, even if every
+// page hashes to one shard.
+func (s *Store) ShardFrames() int { return s.opts.PoolPages / len(s.shards) }
+
 // NumPages returns the number of allocated pages.
 func (s *Store) NumPages() uint32 { return s.numPages.Load() }
 

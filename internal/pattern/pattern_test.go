@@ -122,6 +122,31 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
+// TestContentIn: the set predicate keeps its distinct members in
+// first-appearance order, matches exactly them, and compares equal
+// only to itself — the identity remaining() and PredsImply rely on.
+func TestContentIn(t *testing.T) {
+	in := NewContentIn([]string{"b", "a", "b", ""})
+	if got := strings.Join(in.Values(), ","); got != "b,a," {
+		t.Errorf("Values = %q, want b,a, (distinct, first appearance)", got)
+	}
+	for content, want := range map[string]bool{"a": true, "b": true, "": true, "c": false} {
+		if got := in.Matches(fakeFields{content: content}); got != want {
+			t.Errorf("Matches(%q) = %v, want %v", content, got, want)
+		}
+	}
+	var p, q Predicate = in, in
+	if p != q {
+		t.Error("a ContentIn must equal itself")
+	}
+	if p == Predicate(NewContentIn([]string{"b", "a", ""})) {
+		t.Error("ContentIn values from different constructions must differ")
+	}
+	if s := in.String(); s != "content in {3 values}" {
+		t.Errorf("String = %s", s)
+	}
+}
+
 func TestContentCmpLexicographic(t *testing.T) {
 	f := fakeFields{content: "banana"}
 	if !(ContentCmp{Op: Gt, Value: "apple"}).Matches(f) {

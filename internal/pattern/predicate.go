@@ -34,6 +34,41 @@ func (p ContentEq) Matches(f Fields) bool { return f.Content() == p.Value }
 
 func (p ContentEq) String() string { return fmt.Sprintf("content=%q", p.Value) }
 
+// ContentIn requires $i.content to be one of a set of values: the
+// semi-join filter a value join pushes into its inner pattern (the join
+// node must carry one of the outer side's join values). The set sits
+// behind a pointer so the predicate stays comparable with ==, as every
+// Predicate must be; two ContentIn values are equal only when built by
+// the same NewContentIn call.
+type ContentIn struct{ set *valueSet }
+
+type valueSet struct {
+	values []string
+	has    map[string]bool
+}
+
+// NewContentIn builds the predicate over values, keeping the distinct
+// ones in first-appearance order.
+func NewContentIn(values []string) ContentIn {
+	s := &valueSet{has: make(map[string]bool, len(values))}
+	for _, v := range values {
+		if !s.has[v] {
+			s.has[v] = true
+			s.values = append(s.values, v)
+		}
+	}
+	return ContentIn{set: s}
+}
+
+// Values returns the distinct member values in first-appearance order.
+// The slice is shared; callers must not modify it.
+func (p ContentIn) Values() []string { return p.set.values }
+
+// Matches implements Predicate.
+func (p ContentIn) Matches(f Fields) bool { return p.set.has[f.Content()] }
+
+func (p ContentIn) String() string { return fmt.Sprintf("content in {%d values}", len(p.set.values)) }
+
 // ContentGlob requires $i.content to match a glob where '*' matches any
 // (possibly empty) substring — the paper's `content = "*Transaction*"`.
 type ContentGlob struct{ Pattern string }

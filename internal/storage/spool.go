@@ -72,6 +72,32 @@ func (r *SpoolRun) Append(rec []byte) error {
 	return err
 }
 
+// MergeFanIn is the most runs one merge may read at once: half the
+// smallest buffer-pool shard's frames (at least 2). Each open run
+// cursor pins a frame, so a merge within the fan-in leaves the other
+// half of the shard to the pages the rest of the query pins; a sort
+// with more runs merges them in cascaded passes.
+func (s *Spool) MergeFanIn() int { return max(2, s.db.st.ShardFrames()/2) }
+
+// Free returns one run's pages to the allocator ahead of the spool's
+// Close — a cascaded merge drops each pass's input runs this way. Close
+// the run's cursors first.
+func (r *SpoolRun) Free() error {
+	s := r.sp
+	for i, other := range s.runs {
+		if other == r {
+			s.runs = append(s.runs[:i], s.runs[i+1:]...)
+			break
+		}
+	}
+	pages := append([]pagestore.PageID{r.heap.FirstPage()}, r.heap.TakeTracked()...)
+	if err := s.db.st.FreePages(pages); err != nil {
+		return fmt.Errorf("storage: spool run release: %w", err)
+	}
+	s.db.ing.spoolPagesFreed.Add(uint64(len(pages)))
+	return nil
+}
+
 // Open returns a cursor over the run's records in write order, holding
 // one pinned page at a time. Close every cursor before closing the
 // spool.

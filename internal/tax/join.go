@@ -33,43 +33,71 @@ type JoinSpec struct {
 // in right-witness document order. Left trees with no match still
 // produce an output tree (the "outer" in left outer join); this
 // reproduces Figure 8 exactly.
+//
+// It is JoinLeft over RightHits: a physical join that finds the right
+// witnesses another way (from the value index) shares the left loop,
+// and with it the output order and deduplication.
 func LeftOuterJoin(left, right Collection, spec JoinSpec) Collection {
-	// Index right witnesses by join value once.
-	type rightHit struct {
-		order int
-		trees []*xmltree.Node // SL materializations
-	}
-	byValue := map[string][]rightHit{}
-	order := 0
+	return JoinLeft(left, JoinValues(left, spec), RightHits(right, spec))
+}
+
+// JoinHit is one right witness's contribution to the join: the SL
+// subtrees it emits, in SL order. The left loop tells hits apart by
+// pointer, so a witness listed under its value once is emitted at most
+// once per left tree.
+type JoinHit struct {
+	Trees []*xmltree.Node
+}
+
+// RightHits matches the right pattern against every right tree and
+// indexes the witnesses by join value, each value's hits in
+// right-witness document order.
+func RightHits(right Collection, spec JoinSpec) map[string][]*JoinHit {
+	byValue := map[string][]*JoinHit{}
 	for _, rt := range right.Trees {
 		for _, rb := range match.Match(spec.RightPattern, []*xmltree.Node{rt}) {
-			v := rb[spec.RightLabel].Content
-			hit := rightHit{order: order}
+			hit := &JoinHit{}
 			for _, it := range spec.SL {
-				n := rb[it.Label]
-				if n == nil {
-					continue
+				if n := rb[it.Label]; n != nil {
+					hit.Trees = append(hit.Trees, n.Clone())
 				}
-				hit.trees = append(hit.trees, n.Clone())
 			}
+			v := rb[spec.RightLabel].Content
 			byValue[v] = append(byValue[v], hit)
-			order++
 		}
 	}
+	return byValue
+}
 
+// JoinValues returns each left tree's join values: vals[i] lists the
+// LeftLabel contents of left tree i's witnesses, in witness order.
+func JoinValues(left Collection, spec JoinSpec) [][]string {
+	vals := make([][]string, len(left.Trees))
+	for i, lt := range left.Trees {
+		for _, lb := range match.Match(spec.LeftPattern, []*xmltree.Node{lt}) {
+			vals[i] = append(vals[i], lb[spec.LeftLabel].Content)
+		}
+	}
+	return vals
+}
+
+// JoinLeft is the join's left loop: one product tree per left tree,
+// holding a copy of the tree and then, for each of its join values in
+// turn, the subtrees of that value's hits not yet emitted for this
+// tree. vals is JoinValues(left, spec); byValue holds the right hits.
+func JoinLeft(left Collection, vals [][]string, byValue map[string][]*JoinHit) Collection {
 	var out Collection
-	for _, lt := range left.Trees {
+	for i, lt := range left.Trees {
 		prod := xmltree.E(ProdRootTag)
 		prod.Append(lt.Clone())
-		seen := map[int]bool{}
-		for _, lb := range match.Match(spec.LeftPattern, []*xmltree.Node{lt}) {
-			v := lb[spec.LeftLabel].Content
+		seen := map[*JoinHit]bool{}
+		for _, v := range vals[i] {
 			for _, hit := range byValue[v] {
-				if seen[hit.order] {
+				if seen[hit] {
 					continue
 				}
-				seen[hit.order] = true
-				for _, tr := range hit.trees {
+				seen[hit] = true
+				for _, tr := range hit.Trees {
 					prod.Append(tr.Clone())
 				}
 			}
